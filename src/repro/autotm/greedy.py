@@ -32,19 +32,17 @@ def _cheapest_demotion(candidate: CandidateTensor) -> PlacementMode:
 def solve_greedy(problem: PlacementProblem) -> PlacementPlan:
     """Greedy demotion until every capacity checkpoint is satisfied."""
     candidates = problem.candidates
-    checkpoints = problem.capacity_checkpoints()
-    n, m = len(candidates), len(checkpoints)
+    if not candidates:
+        return PlacementPlan(
+            placements={}, objective_seconds=0.0, budget_bytes=problem.budget_bytes,
+            solver="greedy",
+        )
+    n = len(candidates)
 
     # occupancy[mode][i, j]: candidate i holds DRAM at checkpoint j.
-    dram_occ = np.zeros((n, m), dtype=bool)
-    demoted_occ = np.zeros((n, m), dtype=bool)
     demotion_modes = [_cheapest_demotion(c) for c in candidates]
-    for i, candidate in enumerate(candidates):
-        for j, point in enumerate(checkpoints):
-            dram_occ[i, j] = problem.occupies_dram(candidate, PlacementMode.DRAM, point)
-            demoted_occ[i, j] = problem.occupies_dram(
-                candidate, demotion_modes[i], point
-            )
+    dram_occ = problem.occupancy([(c, PlacementMode.DRAM) for c in candidates]).T
+    demoted_occ = problem.occupancy(list(zip(candidates, demotion_modes))).T
 
     sizes = np.array([c.tensor.size_bytes for c in candidates], dtype=np.int64)
     usage = problem.pinned_bytes + (sizes[:, None] * dram_occ).sum(axis=0)

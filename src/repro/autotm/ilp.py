@@ -62,24 +62,19 @@ def solve_ilp(problem: PlacementProblem, time_limit: float = 120.0) -> Placement
     ones = np.ones(len(problem.candidates))
     constraints.append(LinearConstraint(onehot, ones, ones))
 
-    # Capacity at every checkpoint.
-    checkpoints = problem.capacity_checkpoints()
-    cap_rows: List[int] = []
-    cap_cols: List[int] = []
-    cap_vals: List[float] = []
-    for i, point in enumerate(checkpoints):
-        for j, (candidate, mode) in enumerate(variables):
-            if problem.occupies_dram(candidate, mode, point):
-                cap_rows.append(i)
-                cap_cols.append(j)
-                cap_vals.append(float(candidate.tensor.size_bytes))
-    if cap_rows:
+    # Capacity at every checkpoint: one row per checkpoint, the DRAM
+    # bytes of every variable that holds DRAM there.
+    occupancy = problem.occupancy(variables)
+    checkpoints = occupancy.shape[0]
+    cap_rows, cap_cols = np.nonzero(occupancy)
+    if cap_rows.size:
+        sizes = np.array([c.tensor.size_bytes for c, _ in variables], dtype=np.float64)
         capacity = sparse.csr_matrix(
-            (cap_vals, (cap_rows, cap_cols)), shape=(len(checkpoints), n)
+            (sizes[cap_cols], (cap_rows, cap_cols)), shape=(checkpoints, n)
         )
-        upper = np.full(len(checkpoints), float(problem.budget_bytes - problem.pinned_bytes))
+        upper = np.full(checkpoints, float(problem.budget_bytes - problem.pinned_bytes))
         constraints.append(
-            LinearConstraint(capacity, np.full(len(checkpoints), -np.inf), upper)
+            LinearConstraint(capacity, np.full(checkpoints, -np.inf), upper)
         )
 
     result = milp(

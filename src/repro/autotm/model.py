@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.config import PlatformConfig
 from repro.errors import ConfigurationError, InvariantError
@@ -92,6 +94,12 @@ class PlacementProblem:
     num_ops: int
     #: Capacity constraints are enforced at every N-th op.
     capacity_stride: int = 8
+
+    def __post_init__(self) -> None:
+        if self.capacity_stride < 1:
+            raise ConfigurationError(
+                f"capacity_stride must be >= 1, got {self.capacity_stride}"
+            )
 
     @classmethod
     def build(
@@ -187,7 +195,7 @@ class PlacementProblem:
     def capacity_checkpoints(self) -> List[int]:
         """Op indices where the DRAM capacity constraint is enforced."""
         points = list(range(0, self.num_ops, self.capacity_stride))
-        if points[-1] != self.num_ops - 1:
+        if points and points[-1] != self.num_ops - 1:
             points.append(self.num_ops - 1)
         return points
 
@@ -202,6 +210,14 @@ class PlacementProblem:
             return True
         if mode is PlacementMode.NVRAM:
             return False
+        self._check_stash(candidate)
+        return (
+            op_index <= candidate.last_forward_use
+            or op_index >= candidate.first_backward_use
+        )
+
+    @staticmethod
+    def _check_stash(candidate: CandidateTensor) -> None:
         if candidate.stash_cost is None:
             raise ConfigurationError(
                 f"tensor {candidate.tensor.name!r} is not stash-eligible"
@@ -211,10 +227,40 @@ class PlacementProblem:
                 f"stash-eligible tensor {candidate.tensor.name!r} lacks a "
                 "forward/backward use boundary"
             )
-        return (
-            op_index <= candidate.last_forward_use
-            or op_index >= candidate.first_backward_use
-        )
+
+    def occupancy(
+        self, variables: Sequence[Tuple[CandidateTensor, PlacementMode]]
+    ) -> np.ndarray:
+        """Checkpoint x variable matrix of :meth:`occupies_dram`.
+
+        Cell ``[i, j]`` says whether ``variables[j]`` (a candidate under
+        a mode) holds DRAM at the ``i``-th capacity checkpoint.  This is
+        the one capacity definition the solvers and :meth:`is_feasible`
+        share; it is computed from interval arrays in one vectorized
+        pass and equals the scalar reference cell by cell.  Unlike the
+        scalar form, a stash variable for a tensor that is not
+        stash-eligible is rejected even where the tensor is dead.
+        """
+        at = np.asarray(self.capacity_checkpoints(), dtype=np.int64)[:, None]
+        count = len(variables)
+        first = np.empty(count, dtype=np.int64)
+        last = np.empty(count, dtype=np.int64)
+        # DRAM: live anywhere; NVRAM: never; STASH: outside (hot, warm).
+        hot_until = np.empty(count, dtype=np.int64)
+        warm_from = np.empty(count, dtype=np.int64)
+        for j, (candidate, mode) in enumerate(variables):
+            first[j] = candidate.life.start
+            last[j] = candidate.life.end
+            if mode is PlacementMode.DRAM:
+                hot_until[j], warm_from[j] = last[j], first[j]
+            elif mode is PlacementMode.NVRAM:
+                hot_until[j], warm_from[j] = -1, last[j] + 1
+            else:
+                self._check_stash(candidate)
+                hot_until[j] = candidate.last_forward_use
+                warm_from[j] = candidate.first_backward_use
+        live = (first <= at) & (at <= last)
+        return live & ((at <= hot_until) | (at >= warm_from))
 
     def placement_for(
         self, candidate: CandidateTensor, mode: PlacementMode
@@ -242,12 +288,7 @@ class PlacementProblem:
 
     def is_feasible(self, plan: PlacementPlan) -> bool:
         """Does the plan respect the DRAM budget at every checkpoint?"""
-        for point in self.capacity_checkpoints():
-            used = self.pinned_bytes
-            for candidate in self.candidates:
-                placement = plan.placements[candidate.tensor]
-                if self.occupies_dram(candidate, placement.mode, point):
-                    used += candidate.tensor.size_bytes
-            if used > self.budget_bytes:
-                return False
-        return True
+        chosen = [(c, plan.placements[c.tensor].mode) for c in self.candidates]
+        sizes = np.array([c.tensor.size_bytes for c in self.candidates], dtype=np.int64)
+        used = self.pinned_bytes + self.occupancy(chosen) @ sizes
+        return bool((used <= self.budget_bytes).all())

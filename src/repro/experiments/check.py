@@ -5,12 +5,16 @@ paper's headline claims as PASS/FAIL rows — the executable form of
 EXPERIMENTS.md.  Each claim is a named predicate over experiment data,
 so regressions in the model are caught with a one-line verdict instead
 of a diff of numbers.
+
+``repro-experiment all`` evaluates ``check`` last and hands it the data
+of every experiment that run just computed, so no experiment runs
+twice; ``check`` computes only what it was not given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.experiments.base import ExperimentResult
 from repro.perf.report import render_table
@@ -127,12 +131,19 @@ CLAIMS: List[Claim] = [
 ]
 
 
-def run(quick: bool = True) -> ExperimentResult:
-    """Evaluate every claim; quick mode is the default (and recommended)."""
+def run(quick: bool = True, known: Optional[Mapping[str, dict]] = None) -> ExperimentResult:
+    """Evaluate every claim; quick mode is the default (and recommended).
+
+    ``known`` maps experiment names to ``ExperimentResult.data`` already
+    computed in this process at the same ``quick`` setting; only the
+    experiments it lacks are run.  Data read back from the result store
+    does not qualify: its JSON round-trip drops the tuple keys some
+    predicates index.
+    """
     # Imported here: the registry imports this module at package load.
     from repro.experiments.registry import run_experiment
 
-    cache: Dict[str, dict] = {}
+    cache: Dict[str, dict] = dict(known or {})
     rows = []
     passed = 0
     for claim in CLAIMS:

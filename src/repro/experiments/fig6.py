@@ -18,12 +18,10 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List
 
-from repro.cache import DirectMappedCache
 from repro.exec import SweepSpec, run_sweep
+from repro.experiments.autotm_common import run_2lm
 from repro.experiments.base import ExperimentResult
-from repro.experiments.platform import CNN_STRIDE, cnn_platform_for, training_setup
-from repro.memsys import CachedBackend
-from repro.nn import execute_iteration
+from repro.experiments.platform import cnn_platform_for, training_setup
 from repro.nn.ir import OpKind
 from repro.perf.report import render_table
 from repro.units import to_gb_per_s
@@ -41,12 +39,9 @@ def dense_block_snapshot(network: str, quick: bool) -> Dict[str, Dict[str, float
     """The single grid point: per-kind forward-pass aggregates."""
     platform = cnn_platform_for(quick)
     scale = platform.scale_factor
-    training, plan = training_setup(network, quick)
-    cache = DirectMappedCache(platform.socket.dram_capacity)
-    backend = CachedBackend(platform, cache)
-
-    execute_iteration(plan, backend, sample_stride=CNN_STRIDE)  # warm-up
-    execution = execute_iteration(plan, backend, sample_stride=CNN_STRIDE)
+    training, _ = training_setup(network, quick)
+    # The same warm-up + measured 2LM iteration Table II runs: share it.
+    execution = run_2lm(network, quick)
 
     # Aggregate forward-pass kernels by kind.
     per_kind: Dict[OpKind, Dict[str, float]] = defaultdict(

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.nn.ir import Graph, Tensor
 from repro.nn.liveness import TensorLife, analyze_liveness
@@ -61,15 +63,25 @@ class FirstFitArena:
     ``allocate(size, start, end)`` returns the lowest aligned offset
     whose byte range is free for the whole [start, end] interval.  Used
     by the ngraph-style planner and by AutoTM's explicit DRAM pool.
+
+    Placed extents are kept in numpy arrays ordered by offset, so one
+    call is a handful of vectorized passes instead of a Python rescan
+    and re-sort of every extent.  Among the extents whose lifetime
+    overlaps the request (the *blockers*, in offset order), the running
+    maximum of their end addresses is exactly the first-fit cursor: the
+    answer is that cursor at the first blocker it clears by ``size``
+    bytes, else the cursor past the last blocker.  A call costs O(n)
+    vector work plus an O(n) insertion, with n extents placed so far.
     """
 
     def __init__(self, alignment: int = 64) -> None:
         if alignment <= 0 or alignment & (alignment - 1):
             raise ConfigurationError("alignment must be a positive power of two")
         self.alignment = alignment
-        #: Allocated extents: (offset, size, start, end).
-        self._placed: List[Tuple[int, int, int, int]] = []
         self.high_water = 0
+        self._count = 0
+        # Rows: offset, end address, first op, last op — sorted by offset.
+        self._extents = np.empty((4, 64), dtype=np.int64)
 
     def allocate(self, size: int, start: int, end: int) -> int:
         if size <= 0:
@@ -77,19 +89,32 @@ class FirstFitArena:
         if end < start:
             raise ConfigurationError("interval end precedes start")
         size = _align(size, self.alignment)
-        blockers = sorted(
-            (off, sz)
-            for off, sz, other_start, other_end in self._placed
-            if other_start <= end and start <= other_end
-        )
+        count = self._count
+        offsets, tops, firsts, lasts = self._extents[:, :count]
+        blocking = (firsts <= end) & (lasts >= start)
         candidate = 0
-        for off, sz in blockers:
-            if candidate + size <= off:
-                break
-            candidate = max(candidate, _align(off + sz, self.alignment))
-        self._placed.append((candidate, size, start, end))
+        if blocking.any():
+            # Offsets and sizes are aligned, so every end address is too.
+            block_offsets = offsets[blocking]
+            reach = np.maximum.accumulate(tops[blocking])
+            cursor = np.concatenate(([0], reach[:-1]))
+            fits = cursor + size <= block_offsets
+            first = int(fits.argmax())
+            candidate = int(cursor[first]) if fits[first] else int(reach[-1])
+        self._insert(candidate, size, start, end)
         self.high_water = max(self.high_water, candidate + size)
         return candidate
+
+    def _insert(self, offset: int, size: int, start: int, end: int) -> None:
+        count = self._count
+        if count == self._extents.shape[1]:
+            grown = np.empty((4, 2 * count), dtype=np.int64)
+            grown[:, :count] = self._extents
+            self._extents = grown
+        at = int(np.searchsorted(self._extents[0, :count], offset, side="right"))
+        self._extents[:, at + 1:count + 1] = self._extents[:, at:count]
+        self._extents[:, at] = (offset, offset + size, start, end)
+        self._count = count + 1
 
 
 def plan_memory(graph: Graph, alignment: int = 64) -> MemoryPlan:

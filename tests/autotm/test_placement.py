@@ -141,3 +141,32 @@ class TestOccupancy:
             assert not problem.occupies_dram(
                 candidate, PlacementMode.DRAM, after_death
             )
+
+
+class TestDegenerateProblems:
+    def test_zero_capacity_stride_rejected(self, platform):
+        with pytest.raises(ConfigurationError, match="capacity_stride"):
+            build_problem(platform, 1.0, capacity_stride=0)
+
+    def test_empty_schedule_has_no_checkpoints(self):
+        problem = PlacementProblem(
+            training=None, budget_bytes=1, candidates=[], pinned_bytes=0, num_ops=0
+        )
+        assert problem.capacity_checkpoints() == []
+
+    @pytest.mark.parametrize("solve", [solve_ilp, solve_greedy])
+    def test_empty_schedule_solves_to_empty_plan(self, solve):
+        problem = PlacementProblem(
+            training=None, budget_bytes=1, candidates=[], pinned_bytes=0, num_ops=0
+        )
+        plan = solve(problem)
+        assert plan.placements == {}
+        assert problem.is_feasible(plan)
+
+    @pytest.mark.parametrize("solve", [solve_ilp, solve_greedy])
+    def test_no_candidates_solves_to_empty_plan(self, platform, solve):
+        problem = build_problem(platform, 1.0, min_candidate_bytes=1 << 60)
+        assert not problem.candidates and problem.num_ops > 0
+        plan = solve(problem)
+        assert plan.placements == {}
+        assert plan.objective_seconds == 0.0
