@@ -23,9 +23,10 @@ from repro import obs
 from repro.config import default_platform
 from repro.kernels import Kernel, KernelSpec, run_kernel
 from repro.memsys import AddressMap, FlatBackend
-from repro.memsys.counters import Pattern
+from repro.perf.counters import Pattern
+from repro.units import CACHE_LINE, MiB
 
-NUM_LINES = 1 << 20  # 64 MiB buffer: enough batches to be representative
+NUM_LINES = 64 * MiB // CACHE_LINE  # enough batches to be representative
 
 
 def _fig2_kernel_path():
@@ -73,7 +74,7 @@ def test_disabled_telemetry_overhead_under_5_percent():
     fraction = overhead / t_disabled
     print(
         f"\nfig2 path: {t_disabled * 1e3:.1f} ms, {guard_count} guards, "
-        f"{per_guard * 1e9:.0f} ns/guard -> {fraction * 100:.3f}% overhead"
+        f"{per_guard * 1e6:.3f} us/guard -> {fraction * 100:.3f}% overhead"
     )
     assert fraction < 0.05
 

@@ -284,8 +284,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     cached_names.append(name)
             to_run = [name for name in names if name not in finished]
 
-        # check is evaluated last, over the data this run computes, so
-        # no experiment runs twice (it recomputes only what it lacks).
+        # check is evaluated last, over the data of every experiment
+        # this run finished, computed or served from the store, so no
+        # experiment runs twice.
         simulate = [name for name in to_run if name != "check"]
         if len(simulate) > 1 and args.jobs > 1:
             # 'all': the experiment list is itself a sweep — dispatch
@@ -305,9 +306,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 result = run_experiment(name, quick=args.quick, jobs=args.jobs)
                 finished[name] = (result, time.time() - start, False)
         if "check" in to_run:
-            # Store-served results are not passed on: their JSON
-            # round-trip dropped the tuple keys the claims index.
-            known = {name: finished[name][0].data for name in simulate}
+            known = {name: result.data for name, (result, _, _) in finished.items()}
             start = time.time()
             result = run_experiment("check", quick=args.quick, jobs=args.jobs, known=known)
             finished["check"] = (result, time.time() - start, False)

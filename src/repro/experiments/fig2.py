@@ -112,5 +112,9 @@ def run(quick: bool = False, jobs: int = 1) -> ExperimentResult:
         "threads": list(threads),
         "peak_read": max(bandwidths["read"].values()),
         "peak_write": max(bandwidths["write"].values()),
+        # The random-64B write collapse claim's two cells, as scalars
+        # that survive a JSON round-trip (the grid's tuple keys do not).
+        "write_random_64b_4t": bandwidths["write"][("random", 64, 4)],
+        "write_sequential_64b_4t": bandwidths["write"][("sequential", 64, 4)],
     }
     return result

@@ -83,8 +83,8 @@ def run_experiment(
     ``run`` accepts it) and ignored — with a log note — for the rest.
     Only non-default values are forwarded, so direct serial callers and
     the registry share memoization entries (``ablation.run`` is
-    ``lru_cache``-d).  ``known`` (experiment name -> data computed in
-    this process) is forwarded to ``check``, which then skips re-running
+    ``lru_cache``-d).  ``known`` (experiment name -> data computed or
+    read from the result store) is forwarded to ``check``, which then skips re-running
     those experiments.
     """
     fn = get_experiment(name)

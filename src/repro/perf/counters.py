@@ -13,8 +13,7 @@ throughout the simulator:
 
 This module lives in the observability layer (``repro.perf``): it is
 pure measurement vocabulary with no simulation logic, and the perf
-sampler/trace exporters consume it.  ``repro.memsys.counters`` remains
-as a compatibility re-export.
+sampler/trace exporters consume it.
 """
 
 from __future__ import annotations

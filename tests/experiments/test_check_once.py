@@ -1,7 +1,8 @@
 """``repro-experiment all`` runs every experiment exactly once.
 
-``all`` evaluates ``check`` last, over the data the run just computed,
-instead of letting ``check`` re-run the experiments its claims read.
+``all`` evaluates ``check`` last, over the data of every experiment the
+run computed or served from the store, instead of letting ``check``
+re-run the experiments its claims read.
 Every registered callable is replaced by a spy that logs each call to a
 file (fork workers append to the same file).  The experiments the
 claims read return real quick results, computed once for this module;
@@ -16,8 +17,8 @@ import pytest
 
 from repro.exec import fork_available
 from repro.experiments.base import ExperimentResult
-from repro.experiments.check import CLAIMS
 from repro.experiments.cli import main
+from repro.experiments.headline import CLAIMS
 from repro.experiments.registry import EXPERIMENTS, registered_names
 
 CLAIMED = sorted({claim.experiment for claim in CLAIMS})
@@ -88,7 +89,7 @@ def test_check_verdicts_equal_standalone_check(calls, tmp_path, capsys):
     assert from_all["data"] == alone["data"] == {"all_pass": True, "passed": 15, "total": 15}
 
 
-def test_store_served_experiments_are_recomputed_for_check(calls, tmp_path, capsys):
+def test_store_served_experiments_are_not_recomputed(calls, tmp_path, capsys):
     store = tmp_path / "store"
     seeded = ["fig2", "table2", "mix"]
     for name in seeded:
@@ -97,9 +98,9 @@ def test_store_served_experiments_are_recomputed_for_check(calls, tmp_path, caps
     assert main(["all", "--quick", "--store", str(store), "--json", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
     assert out.count("(served from store)") == len(seeded)
-    # Served experiments are not simulated by 'all'; check recomputes
-    # the two whose claims it evaluates, and nothing else.
-    expected = Counter(name for name in registered_names() if name not in seeded)
-    expected.update(["fig2", "table2"])
-    assert calls() == expected
-    assert _check_export(tmp_path / "out")["data"]["passed"] == 15
+    # check reads the served experiments' stored data: 'all' simulates
+    # exactly the unseeded experiments, once each, and nothing else.
+    assert calls() == Counter(name for name in registered_names() if name not in seeded)
+    assert _check_export(tmp_path / "out")["data"] == {
+        "all_pass": True, "passed": 15, "total": 15,
+    }

@@ -1,54 +1,73 @@
 """Integration tests: each experiment must reproduce the paper's claims.
 
-These run the experiments in quick mode and assert the *shape* results
-the paper reports — who wins, by roughly what factor, where the
-crossovers fall.  EXPERIMENTS.md records the full-size numbers.
+These run the experiments in quick mode, once each per module.  The
+paper's headline claims are the rows of
+:data:`repro.experiments.headline.CLAIMS`; ``test_claim_holds`` checks
+every row over its experiment's headline metrics, and the classes
+below assert the secondary *shape* results no row covers — who wins,
+by roughly what factor, where the crossovers fall.  EXPERIMENTS.md
+records the full-size numbers.
 """
+
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.experiments import run_experiment
+from repro.experiments.headline import CLAIMS, headline_metrics
+from repro.perf.export import to_jsonable
+from repro.units import MiB
+
+CLAIMED = sorted({claim.experiment for claim in CLAIMS})
 
 
-@pytest.fixture(scope="module")
-def fig2():
-    return run_experiment("fig2", quick=True)
+def _claim_ids():
+    """``<experiment>-<n>``: the n-th row (from 1) of that experiment."""
+    seen = Counter()
+    ids = []
+    for claim in CLAIMS:
+        seen[claim.experiment] += 1
+        ids.append(f"{claim.experiment}-{seen[claim.experiment]}")
+    return ids
 
 
-@pytest.fixture(scope="module")
-def fig4():
-    return run_experiment("fig4", quick=True)
+def _quick(name):
+    return pytest.fixture(scope="module", name=name)(
+        lambda: run_experiment(name, quick=True)
+    )
 
 
-@pytest.fixture(scope="module")
-def fig5():
-    return run_experiment("fig5", quick=True)
+fig2 = _quick("fig2")
+table1 = _quick("table1")
+fig4 = _quick("fig4")
+fig5 = _quick("fig5")
+fig6 = _quick("fig6")
+fig7 = _quick("fig7")
+fig8 = _quick("fig8")
+fig9 = _quick("fig9")
+fig10 = _quick("fig10")
+table2 = _quick("table2")
+ablation = _quick("ablation")
 
 
-@pytest.fixture(scope="module")
-def fig7():
-    return run_experiment("fig7", quick=True)
+@pytest.mark.parametrize("claim", CLAIMS, ids=_claim_ids())
+def test_claim_holds(claim, request):
+    data = request.getfixturevalue(claim.experiment).data
+    assert claim.holds(headline_metrics(claim.experiment, data))
 
 
-@pytest.fixture(scope="module")
-def fig9():
-    return run_experiment("fig9", quick=True)
-
-
-@pytest.fixture(scope="module")
-def table2():
-    return run_experiment("table2", quick=True)
+@pytest.mark.parametrize("name", CLAIMED)
+def test_headline_metrics_survive_json(name, request):
+    # check and the results catalog both read stored results, whose
+    # JSON round-trip must not change any headline metric.
+    data = request.getfixturevalue(name).data
+    stored = json.loads(json.dumps(to_jsonable(data)))
+    assert headline_metrics(name, data) == headline_metrics(name, stored)
 
 
 class TestFig2Claims:
-    def test_read_peaks_just_over_30(self, fig2):
-        # Section III-C: "just over 30 GB/s read".
-        assert 30 <= fig2.data["peak_read"] <= 33
-
-    def test_write_peaks_around_11(self, fig2):
-        assert 10 <= fig2.data["peak_write"] <= 12
-
     def test_read_saturates_by_8_threads(self, fig2):
         bw = fig2.data["bandwidth"]["read"]
         assert bw[("sequential", 64, 8)] == pytest.approx(
@@ -59,10 +78,6 @@ class TestFig2Claims:
         bw = fig2.data["bandwidth"]["write"]
         assert bw[("sequential", 64, 4)] > bw[("sequential", 64, 24)]
 
-    def test_random_64b_write_collapse(self, fig2):
-        bw = fig2.data["bandwidth"]["write"]
-        assert bw[("random", 64, 4)] < 0.35 * bw[("sequential", 64, 4)]
-
     def test_random_256b_write_matches_sequential(self, fig2):
         bw = fig2.data["bandwidth"]["write"]
         assert bw[("random", 256, 4)] == pytest.approx(
@@ -71,40 +86,24 @@ class TestFig2Claims:
 
 
 class TestTable1Claims:
-    def test_exact_match_with_paper(self):
-        result = run_experiment("table1", quick=True)
-        assert result.data["matches_paper"]
-
-    def test_up_to_five_accesses_per_demand(self):
-        result = run_experiment("table1", quick=True)
-        amps = [row["amplification"] for row in result.data["measured"].values()]
+    def test_up_to_five_accesses_per_demand(self, table1):
+        amps = [row["amplification"] for row in table1.data["measured"].values()]
         assert max(amps) == 5.0
         assert min(amps) == 1.0
 
 
 class TestFig4Claims:
-    def test_clean_read_miss_3x_amplification(self, fig4):
+    def test_clean_read_miss_never_hits(self, fig4):
         case = fig4.data["4a_read_clean_miss"]["sequential_64"]
-        assert case["amplification"] == pytest.approx(3.0, abs=0.05)
         assert case["hit_rate"] < 0.01
-
-    def test_2lm_read_bandwidth_fraction_of_raw(self, fig4):
-        # Paper: 23 GB/s of ~31 GB/s raw.
-        case = fig4.data["4a_read_clean_miss"]["sequential_64"]
-        assert 20 <= case["nvram_read"] <= 26
-
-    def test_dirty_write_miss_5x_amplification(self, fig4):
-        case = fig4.data["4b_write_dirty_miss"]["sequential_64"]
-        assert case["amplification"] == pytest.approx(5.0, abs=0.05)
 
     def test_write_miss_doubles_dram_writes(self, fig4):
         # Section IV-B: "2x access amplification in DRAM writes alone".
         case = fig4.data["4b_write_dirty_miss"]["sequential_64"]
         assert case["dram_write"] == pytest.approx(2 * case["nvram_write"], rel=0.05)
 
-    def test_rmw_uses_ddo(self, fig4):
+    def test_rmw_costs_two_and_a_half_accesses(self, fig4):
         case = fig4.data["4c_rmw_ddo"]["sequential_64"]
-        assert case["ddo_fraction"] > 0.95
         assert case["amplification"] == pytest.approx(2.5, abs=0.1)
 
     def test_2lm_slower_than_1lm_raw(self, fig4, fig2):
@@ -114,15 +113,8 @@ class TestFig4Claims:
 
 
 class TestFig5Claims:
-    def test_dirty_misses_dominate_clean(self, fig5):
-        # Section V-B observation (1)+(2): few clean, many dirty misses.
-        assert fig5.data["dirty_misses"] > 3 * fig5.data["clean_misses"]
-
     def test_live_memory_rises_then_falls(self, fig5):
         assert fig5.data["peak_live_bytes"] > fig5.data["cache_bytes"]
-
-    def test_footprint_exceeds_cache(self, fig5):
-        assert fig5.data["buffer_bytes"] > fig5.data["cache_bytes"]
 
     def test_hit_bursts_exist(self, fig5):
         # Observation (3): regions of high tag hits with a corresponding
@@ -151,22 +143,20 @@ class TestFig5Claims:
 
 
 class TestFig6Claims:
-    def test_concat_and_batchnorm_memory_bound(self):
-        result = run_experiment("fig6", quick=True)
-        assert result.data["concat"]["memory_bound"]
-        assert result.data["batch_norm"]["memory_bound"]
-        assert not result.data["conv"]["memory_bound"]
+    def test_concat_and_batchnorm_memory_bound(self, fig6):
+        assert fig6.data["concat"]["memory_bound"]
+        assert fig6.data["batch_norm"]["memory_bound"]
+        assert not fig6.data["conv"]["memory_bound"]
 
-    def test_concat_bandwidth_below_dram_peak(self):
-        result = run_experiment("fig6", quick=True)
+    def test_concat_bandwidth_below_dram_peak(self, fig6):
         # Concat streams through the miss-heavy cache: well below the
         # ~112 GB/s DRAM peak.
-        assert result.data["concat"]["bandwidth_gbps"] < 60
+        assert fig6.data["concat"]["bandwidth_gbps"] < 60
 
 
 class TestFig7Claims:
     def test_kron_fits_wdc_exceeds(self, fig7):
-        platform_cache = 2 * 1.5 * 2**20  # quick graph platform, 2 sockets
+        platform_cache = 2 * 1.5 * MiB  # quick graph platform, 2 sockets
         assert fig7.data["kron"]["binary_bytes"] < platform_cache
         assert fig7.data["wdc"]["binary_bytes"] > platform_cache
 
@@ -178,23 +168,17 @@ class TestFig7Claims:
             )
 
     def test_dram_bandwidth_drops_on_wdc(self, fig7):
-        # "there is a significant decrease in DRAM bandwidth".
-        for kernel in ("cc", "pr"):
-            assert (
-                fig7.data["wdc"]["kernels"][kernel]["dram_gbps"]
-                < 0.7 * fig7.data["kron"]["kernels"][kernel]["dram_gbps"]
-            )
+        # "there is a significant decrease in DRAM bandwidth"; the
+        # claims table holds pr to the same bound.
+        assert (
+            fig7.data["wdc"]["kernels"]["cc"]["dram_gbps"]
+            < 0.7 * fig7.data["kron"]["kernels"]["cc"]["dram_gbps"]
+        )
 
 
 class TestFig8Claims:
-    def test_2lm_amplifies_all_kernels(self):
-        result = run_experiment("fig8", quick=True)
-        for kernel, row in result.data.items():
-            assert row["amplification"] > 1.1, kernel
-
-    def test_amplification_significant(self):
-        result = run_experiment("fig8", quick=True)
-        worst = max(row["amplification"] for row in result.data.values())
+    def test_amplification_significant(self, fig8):
+        worst = max(row["amplification"] for row in fig8.data.values())
         assert worst > 1.7
 
 
@@ -203,10 +187,6 @@ class TestFig9Claims:
         series = fig9.data["kron"]["series"]["dram_read"][1:]  # skip cold start
         if series.size > 1:
             assert series.std() < 0.2 * series.mean()
-
-    def test_wdc_has_persistent_nvram_traffic(self, fig9):
-        nvram = fig9.data["wdc"]["series"]["nvram_read"]
-        assert (nvram[1:] > 0).all()
 
     def test_wdc_bandwidth_below_kron(self, fig9):
         assert fig9.data["wdc"]["dram_gbps"] < fig9.data["kron"]["dram_gbps"]
@@ -217,19 +197,8 @@ class TestFig9Claims:
 
 
 class TestFig10Claims:
-    def test_nvram_writes_forward_reads_backward(self):
-        result = run_experiment("fig10", quick=True)
-        data = result.data
-        assert data["nvram_writes_forward"] > 100 * max(
-            data["nvram_writes_backward"], 1
-        )
-        assert data["nvram_reads_backward"] > 100 * max(
-            data["nvram_reads_forward"], 1
-        )
-
-    def test_stash_equals_restore(self):
-        result = run_experiment("fig10", quick=True)
-        assert result.data["stash_bytes"] == result.data["restore_bytes"]
+    def test_stash_equals_restore(self, fig10):
+        assert fig10.data["stash_bytes"] == fig10.data["restore_bytes"]
 
 
 class TestTable2Claims:
@@ -244,11 +213,6 @@ class TestTable2Claims:
             > table2.data["inception_v4"]["speedup"]
         )
 
-    def test_nvram_traffic_half_of_2lm(self, table2):
-        # Paper: "only 50% to 60% of the NVRAM traffic".
-        for network, row in table2.data.items():
-            assert 0.3 < row["nvram_traffic_ratio"] < 0.7, network
-
     def test_dram_traffic_similar(self, table2):
         # Paper: "AutoTM generates similar amounts of DRAM traffic".
         for network, row in table2.data.items():
@@ -257,16 +221,14 @@ class TestTable2Claims:
 
 
 class TestAblationClaims:
-    def test_associativity_reduces_nvram_traffic(self):
-        result = run_experiment("ablation", quick=True)
-        base = result.data["baseline (direct-mapped, DDO, insert-on-miss)"]
-        assoc = result.data["8-way LRU"]
+    def test_associativity_reduces_nvram_traffic(self, ablation):
+        base = ablation.data["baseline (direct-mapped, DDO, insert-on-miss)"]
+        assoc = ablation.data["8-way LRU"]
         assert assoc["nvram_read_gb"] <= base["nvram_read_gb"]
 
-    def test_ddo_saves_tag_checks(self):
-        result = run_experiment("ablation", quick=True)
-        base = result.data["baseline (direct-mapped, DDO, insert-on-miss)"]
-        no_ddo = result.data["no DDO"]
+    def test_ddo_saves_tag_checks(self, ablation):
+        base = ablation.data["baseline (direct-mapped, DDO, insert-on-miss)"]
+        no_ddo = ablation.data["no DDO"]
         assert base["ddo_writes"] > 0
         assert no_ddo["ddo_writes"] == 0
         assert no_ddo["seconds"] >= base["seconds"]

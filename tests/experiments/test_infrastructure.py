@@ -11,8 +11,9 @@ from repro.experiments.platform import (
     training_setup,
     wdc_graph,
 )
-from repro.memsys.counters import TagStats, Traffic
+from repro.perf.counters import TagStats, Traffic
 from repro.perf.trace import Trace
+from repro.units import GB
 
 
 class TestExperimentResult:
@@ -44,7 +45,7 @@ class TestGraphRun:
         run = self.make()
         # 1000 lines * 64 B / 2 s * scale 100 / 1e9.
         assert run.bandwidth_gbps("dram_reads") == pytest.approx(
-            1000 * 64 / 2.0 * 100 / 1e9
+            1000 * 64 / 2.0 * 100 / GB
         )
 
     def test_zero_seconds(self):
@@ -53,11 +54,11 @@ class TestGraphRun:
 
     def test_total_moved(self):
         run = self.make()
-        assert run.total_moved_gb == pytest.approx(1500 * 64 * 100 / 1e9)
+        assert run.total_moved_gb == pytest.approx(1500 * 64 * 100 / GB)
 
     def test_demand_gb(self):
         run = self.make()
-        assert run.demand_gb == pytest.approx(1500 * 64 * 100 / 1e9)
+        assert run.demand_gb == pytest.approx(1500 * 64 * 100 / GB)
 
 
 class TestPlatformCaches:

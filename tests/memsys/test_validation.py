@@ -7,12 +7,13 @@ from repro.cache import DirectMappedCache
 from repro.config import default_platform
 from repro.kernels import Kernel, KernelSpec, run_kernel
 from repro.memsys import CachedBackend, StoreType
-from repro.memsys.counters import TagStats, Traffic
 from repro.memsys.validation import (
     expected_from_tags,
     validate_traffic,
     validate_wall_clock,
 )
+from repro.perf.counters import TagStats, Traffic
+from repro.units import GB, gb_per_s, lines_in
 
 
 @pytest.fixture(scope="module")
@@ -76,16 +77,16 @@ class TestWallClock:
     def test_consistent_run_passes(self, platform):
         traffic = Traffic(dram_reads=1000, demand_reads=1000)
         generous_time = traffic.total_bytes / 1e6
-        assert validate_wall_clock(traffic, generous_time, 1e9) is None
+        assert validate_wall_clock(traffic, generous_time, gb_per_s(1)) is None
 
     def test_impossible_bandwidth_flagged(self):
-        traffic = Traffic(dram_reads=10**9, demand_reads=10**9)
-        error = validate_wall_clock(traffic, 1e-6, 1e9)
+        traffic = Traffic(dram_reads=lines_in(64 * GB), demand_reads=lines_in(64 * GB))
+        error = validate_wall_clock(traffic, 1e-6, gb_per_s(1))
         assert error is not None
         assert "exceeds" in error
 
     def test_zero_time_zero_traffic_ok(self):
-        assert validate_wall_clock(Traffic(), 0.0, 1e9) is None
+        assert validate_wall_clock(Traffic(), 0.0, gb_per_s(1)) is None
 
     def test_zero_time_with_traffic_flagged(self):
-        assert validate_wall_clock(Traffic(dram_reads=1), 0.0, 1e9) is not None
+        assert validate_wall_clock(Traffic(dram_reads=1), 0.0, gb_per_s(1)) is not None

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.memsys.counters import TagStats, Traffic, UncoreCounters
 from repro.perf import CounterSampler, Trace, TracePoint
+from repro.perf.counters import TagStats, Traffic, UncoreCounters
 
 
 def make_counters():

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import PAPER_PLATFORM
-from repro.memsys.counters import AccessContext, Pattern, Traffic
 from repro.memsys.nvram import NVRAMDevice
 from repro.memsys.timing import TimingModel
 from repro.nn.planner import FirstFitArena
+from repro.perf.counters import AccessContext, Pattern, Traffic
+from repro.units import GB, TB, lines_in
 
 
-traffic_counts = st.integers(min_value=0, max_value=10**9)
+traffic_counts = st.integers(min_value=0, max_value=lines_in(64 * GB))
 
 
 @st.composite
@@ -94,8 +95,8 @@ class TestNVRAMProperties:
         assert device.read_bandwidth(ctx) >= device.write_bandwidth(ctx)
 
     @given(
-        read_bytes=st.integers(min_value=0, max_value=10**12),
-        write_bytes=st.integers(min_value=0, max_value=10**12),
+        read_bytes=st.integers(min_value=0, max_value=TB),
+        write_bytes=st.integers(min_value=0, max_value=TB),
         ctx=contexts(),
     )
     @settings(max_examples=100, deadline=None)
