@@ -15,54 +15,36 @@ bytes rather than the cache's amplified write-backs.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List
 
 import numpy as np
 
 from repro import obs
 from repro.autotm.model import PlacementMode, PlacementPlan
-from repro.config import BATCH_LINES, PlatformConfig
+from repro.config import PlatformConfig
 from repro.errors import ConfigurationError, InvariantError
 from repro.memsys.backends import FlatBackend
-from repro.perf.counters import (
-    AccessContext,
-    AccessKind,
-    Pattern,
-    Traffic,
-)
+from repro.perf.counters import AccessContext, AccessKind, Pattern
 from repro.memsys.topology import AddressMap
 from repro.nn.autodiff import TrainingGraph
-from repro.nn.executor import KernelRecord, compute_time
+from repro.nn.executor import KERNEL_THREADS, ExecutionResult, KernelRecord, execute_op
 from repro.nn.ir import Op, OpKind, Tensor
 from repro.nn.liveness import analyze_liveness
 from repro.nn.planner import FirstFitArena
-from repro.perf.sampler import CounterSampler
 
-_BATCH_LINES = BATCH_LINES
+#: Every AutoTM kernel and copy: sequential, on all kernel threads.
+_CTX = AccessContext(threads=KERNEL_THREADS, pattern=Pattern.SEQUENTIAL)
 
 
-@dataclass
-class AutoTMResult:
-    """Outcome of one AutoTM training iteration."""
+@dataclass(kw_only=True)
+class AutoTMResult(ExecutionResult):
+    """Outcome of one AutoTM training iteration; moves are ``MOVE`` records."""
 
     plan: PlacementPlan
-    records: List[KernelRecord] = field(default_factory=list)
     stash_bytes: int = 0
     restore_bytes: int = 0
-    #: Counter trace sampled after every kernel and move (Figure 10).
-    trace: object = None
-
-    @property
-    def seconds(self) -> float:
-        return sum(r.seconds for r in self.records)
-
-    @property
-    def traffic(self) -> Traffic:
-        total = Traffic()
-        for record in self.records:
-            total += record.traffic
-        return total
 
 
 class _Addresser:
@@ -144,8 +126,46 @@ class _Addresser:
         """The NVRAM slot a stashed tensor is parked in."""
         return self._lines_for(self._stash_slots[tensor], tensor.size_bytes, False)
 
-    def total_lines(self) -> int:
-        return self.nvram_base_line + max(1, self.nvram_high_water_lines)
+
+@dataclass
+class _Setup:
+    """What both AutoTM executors run on: addresses, backend, movement schedule."""
+
+    addresser: _Addresser
+    backend: FlatBackend
+    #: Op index -> tensors stashed out right after that op.
+    stash_at: Dict[int, List[Tensor]]
+    #: Op index -> tensors whose restore is issued right before that op.
+    restore_at: Dict[int, List[Tensor]]
+
+
+def _setup(
+    training: TrainingGraph,
+    plan: PlacementPlan,
+    platform: PlatformConfig,
+    sample_stride: int,
+    lookahead: int = 0,
+) -> _Setup:
+    """Place every tensor, check both pools fit, and schedule the moves.
+
+    Restores are issued ``lookahead`` ops before their consumer, but
+    never before the stash they undo has been issued.
+    """
+    addresser = _Addresser(training, plan, platform, sample_stride)
+    nvram_capacity_lines = platform.socket.nvram_capacity // platform.line_size
+    if addresser.nvram_high_water_lines > nvram_capacity_lines:
+        raise ConfigurationError("AutoTM NVRAM pool overflows the device")
+    address_map = AddressMap.numa_preferred(
+        addresser.dram_lines, max(1, nvram_capacity_lines)
+    )
+    stash_at: Dict[int, List[Tensor]] = {}
+    restore_at: Dict[int, List[Tensor]] = {}
+    for tensor, placement in plan.placements.items():
+        if placement.mode is PlacementMode.STASH:
+            stash_at.setdefault(placement.stash_after, []).append(tensor)
+            issue = max(0, placement.restore_before - lookahead, placement.stash_after + 1)
+            restore_at.setdefault(issue, []).append(tensor)
+    return _Setup(addresser, FlatBackend(platform, address_map), stash_at, restore_at)
 
 
 def execute_autotm(
@@ -153,40 +173,13 @@ def execute_autotm(
     plan: PlacementPlan,
     platform: PlatformConfig,
     *,
-    threads: int = 24,
     sample_stride: int = 16,
 ) -> AutoTMResult:
     """Run one AutoTM training iteration in app-direct (1LM) mode."""
-    graph = training.graph
-    addresser = _Addresser(training, plan, platform, sample_stride)
-
-    nvram_capacity_lines = platform.socket.nvram_capacity // platform.line_size
-    if addresser.nvram_high_water_lines > nvram_capacity_lines:
-        raise ConfigurationError("AutoTM NVRAM pool overflows the device")
-    address_map = AddressMap.numa_preferred(
-        addresser.dram_lines, max(1, nvram_capacity_lines)
-    )
-    backend = FlatBackend(platform, address_map)
-    sampler = CounterSampler(backend.counters)
-
-    ctx = AccessContext(threads=threads, pattern=Pattern.SEQUENTIAL)
-    move_ctx = ctx
+    setup = _setup(training, plan, platform, sample_stride)
+    addresser, backend = setup.addresser, setup.backend
     cpu = platform.socket.cpu
-    weight = sample_stride
-
-    # Movement schedule: stash after op i / restore before op j.
-    stash_at: Dict[int, List[Tensor]] = {}
-    restore_at: Dict[int, List[Tensor]] = {}
-    for tensor, placement in plan.placements.items():
-        if placement.mode is PlacementMode.STASH:
-            stash_at.setdefault(placement.stash_after, []).append(tensor)
-            restore_at.setdefault(placement.restore_before, []).append(tensor)
-
-    result = AutoTMResult(plan=plan)
-
-    def stream(lines: np.ndarray, kind: AccessKind, context: AccessContext) -> None:
-        for begin in range(0, lines.size, _BATCH_LINES):
-            backend.access(lines[begin : begin + _BATCH_LINES], kind, context, weight=weight)
+    result = AutoTMResult(graph=training.graph, plan=plan)
 
     def move(src: np.ndarray, dst: np.ndarray, op: Op, label: str) -> None:
         tele = obs.get()
@@ -205,13 +198,12 @@ def execute_autotm(
                 if tele.enabled
                 else None
             )
-            with backend.epoch(move_ctx) as epoch:
-                stream(src, AccessKind.LLC_READ, move_ctx)
+            with backend.epoch(_CTX) as epoch:
+                backend.stream(src, AccessKind.LLC_READ, _CTX, weight=sample_stride)
                 # Nontemporal stores: no ownership read, straight write.
-                stream(dst, AccessKind.LLC_WRITE, move_ctx)
-            backend.counters.retire(
-                int(epoch.traffic.demand_bytes * cpu.instructions_per_byte)
-            )
+                backend.stream(dst, AccessKind.LLC_WRITE, _CTX, weight=sample_stride)
+            instructions = int(epoch.traffic.demand_bytes * cpu.instructions_per_byte)
+            backend.counters.retire(instructions)
             if span is not None:
                 span.set(moved_bytes=epoch.traffic.demand_bytes)
         if tele.enabled:
@@ -227,12 +219,14 @@ def execute_autotm(
                 tags=epoch.tags,
                 compute_seconds=0.0,
                 memory_seconds=epoch.memory_seconds,
+                instructions=instructions,
             )
         )
-        sampler.sample(label=label)
 
-    for index, op in enumerate(graph.ops):
-        for tensor in restore_at.get(index, ()):  # prefetch back to DRAM
+    for index, op in enumerate(training.graph.ops):
+        restores = setup.restore_at.get(index, ())
+        stashes = setup.stash_at.get(index, ())
+        for tensor in restores:  # prefetch back to DRAM
             result.restore_bytes += tensor.size_bytes
             move(
                 addresser.stash_lines(tensor),
@@ -242,7 +236,6 @@ def execute_autotm(
             )
 
         tele = obs.get()
-        start = backend.counters.time
         with contextlib.ExitStack() as stack:
             if tele.enabled:
                 stack.enter_context(
@@ -252,41 +245,16 @@ def execute_autotm(
                         clock=lambda: backend.counters.time,
                         op=op.name,
                         kind=op.kind.value,
-                        stashes=len(stash_at.get(index, ())),
-                        restores=len(restore_at.get(index, ())),
+                        stashes=len(stashes),
+                        restores=len(restores),
                     )
                 )
-            with backend.epoch(ctx) as epoch:
-                if op.kind is not OpKind.PARAMETER:
-                    for tensor in op.inputs:
-                        stream(addresser.lines(tensor, index), AccessKind.LLC_READ, ctx)
-                    if op.kind is OpKind.SGD_UPDATE:
-                        stream(
-                            addresser.lines(op.inputs[0], index), AccessKind.LLC_WRITE, ctx
-                        )
-                    for tensor in op.outputs:
-                        lines = addresser.lines(tensor, index)
-                        stream(lines, AccessKind.LLC_READ, ctx)  # RFO
-                        stream(lines, AccessKind.LLC_WRITE, ctx)
-                epoch.add_compute(compute_time(op, cpu.peak_flops))
-        backend.counters.retire(
-            int(op.flops * cpu.instructions_per_flop)
-            + int(epoch.traffic.demand_bytes * cpu.instructions_per_byte)
-        )
-        result.records.append(
-            KernelRecord(
-                op=op,
-                start=start,
-                end=backend.counters.time,
-                traffic=epoch.traffic,
-                tags=epoch.tags,
-                compute_seconds=epoch.compute_seconds,
-                memory_seconds=epoch.memory_seconds,
+            record = execute_op(
+                op, partial(addresser.lines, op_index=index), backend, _CTX, cpu, sample_stride
             )
-        )
-        sampler.sample(label=op.name)
+        result.records.append(record)
 
-        for tensor in stash_at.get(index, ()):  # write out to NVRAM
+        for tensor in stashes:  # write out to NVRAM
             result.stash_bytes += tensor.size_bytes
             move(
                 addresser.lines(tensor, index),
@@ -295,5 +263,4 @@ def execute_autotm(
                 f"stash_{tensor.name}",
             )
 
-    result.trace = sampler.trace()
     return result

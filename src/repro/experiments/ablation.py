@@ -27,11 +27,9 @@ from repro.cache import (
     SetAssociativeCache,
 )
 from repro.exec import SweepSpec, run_sweep
-from repro.experiments.autotm_common import run_2lm
+from repro.experiments.autotm_common import measure_2lm, run_2lm
 from repro.experiments.base import ExperimentResult
 from repro.experiments.platform import CNN_STRIDE, cnn_platform_for, training_setup
-from repro.memsys import CachedBackend
-from repro.nn import execute_iteration
 from repro.perf.report import render_table
 from repro.units import CACHE_LINE, GB
 
@@ -70,9 +68,7 @@ def run_variant(variant: str, quick: bool) -> Dict[str, float]:
     else:
         _, plan = training_setup("densenet264", quick=quick)
         factory, stride = VARIANTS[variant]
-        backend = CachedBackend(platform, factory(platform.socket.dram_capacity))
-        execute_iteration(plan, backend, sample_stride=stride)  # warm-up
-        execution = execute_iteration(plan, backend, sample_stride=stride)
+        execution = measure_2lm(plan, platform, factory, stride)
     traffic, tags = execution.traffic, execution.tags
     return {
         "seconds": execution.seconds,

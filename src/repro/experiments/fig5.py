@@ -2,7 +2,10 @@
 
 (a) retired-instruction rate, (b) DRAM-cache tag statistics, (c) DRAM
 and NVRAM bandwidth through time, (d) the ngraph heap's liveness map.
-One warm-up iteration prepares the cache state, as in the paper.
+One warm-up iteration prepares the cache state, as in the paper.  The
+iteration is ``autotm_common.run_2lm``'s memo, the same one Table II,
+Figure 6 and the ablation baseline read; the plotted trace is its
+per-kernel records.
 
 The warm-up and the measured iteration share one backend — a
 sequential dependency — so the sweep grid is a single point that
@@ -17,34 +20,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache import DirectMappedCache
 from repro.exec import SweepSpec, run_sweep
+from repro.experiments.autotm_common import run_2lm
 from repro.experiments.base import ExperimentResult
-from repro.experiments.platform import CNN_STRIDE, cnn_platform_for, training_setup
-from repro.memsys import CachedBackend
-from repro.nn import execute_iteration
+from repro.experiments.platform import cnn_platform_for, training_setup
 from repro.nn.liveness import live_bytes_series
-from repro.perf import CounterSampler
 from repro.perf.memmap import render_memory_map
 from repro.perf.report import render_series
 from repro.units import format_bytes, to_gb_per_s
 
 
 def iteration_snapshot(network: str, quick: bool) -> ExperimentResult:
-    """The single grid point: one instrumented 2LM training iteration."""
+    """The single grid point: one measured 2LM training iteration."""
     platform = cnn_platform_for(quick)
     scale = platform.scale_factor
     training, plan = training_setup(network, quick)
-    cache = DirectMappedCache(platform.socket.dram_capacity)
-    backend = CachedBackend(platform, cache)
-    sampler = CounterSampler(backend.counters)
-
-    execute_iteration(plan, backend, sample_stride=CNN_STRIDE)  # warm-up
-    sampler.discard()
-    execution = execute_iteration(
-        plan, backend, sample_stride=CNN_STRIDE, sampler=sampler
-    )
-    trace = sampler.trace()
+    execution = run_2lm(network, quick)
+    trace = execution.trace
 
     # Forward/backward boundary in virtual time.
     boundary = execution.records[training.backward_start].start - execution.records[0].start

@@ -17,15 +17,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from repro.autotm import PlacementProblem, solve_greedy, solve_ilp
-from repro.autotm.executor import execute_autotm
-from repro.cache import DirectMappedCache
-from repro.errors import ConfigurationError, InvariantError, SolverError
+from repro.errors import InvariantError
 from repro.exec import SweepSpec, run_sweep
+from repro.experiments.autotm_common import measure_2lm, place_autotm
 from repro.experiments.base import ExperimentResult
 from repro.experiments.platform import CNN_STRIDE, PlatformConfig, cnn_platform_for
-from repro.memsys import CachedBackend
-from repro.nn import build_training_graph, execute_iteration, plan_memory
+from repro.nn import build_training_graph, plan_memory
 from repro.nn.autodiff import TrainingGraph
 from repro.nn.ir import Graph
 from repro.nn.networks import gpt_like
@@ -55,10 +52,7 @@ def mode_point(mode: str, quick: bool) -> Dict[str, float]:
     """One grid point: traffic and runtime for one placement mode."""
     platform, _, training, plan = _setup(quick)
     if mode == "2lm":
-        cache = DirectMappedCache(platform.socket.dram_capacity)
-        backend = CachedBackend(platform, cache)
-        execute_iteration(plan, backend, sample_stride=CNN_STRIDE)  # warm-up
-        cached = execute_iteration(plan, backend, sample_stride=CNN_STRIDE)
+        cached = measure_2lm(plan, platform)
         traffic, seconds = cached.traffic, cached.seconds
         extra = {
             "hit_rate": cached.tags.hit_rate,
@@ -66,25 +60,7 @@ def mode_point(mode: str, quick: bool) -> Dict[str, float]:
             "clean_misses": cached.tags.clean_misses,
         }
     elif mode == "autotm":
-        autotm = None
-        for fraction in (0.8, 0.65, 0.5):
-            budget = int(platform.socket.dram_capacity * fraction)
-            problem = PlacementProblem.build(
-                training, platform, budget, capacity_stride=4
-            )
-            try:
-                placement = solve_ilp(problem, time_limit=30.0 if quick else 120.0)
-            except SolverError:
-                placement = solve_greedy(problem)
-            try:
-                autotm = execute_autotm(
-                    training, placement, platform, sample_stride=CNN_STRIDE
-                )
-                break
-            except ConfigurationError:
-                continue
-        if autotm is None:
-            raise ConfigurationError("AutoTM could not place the transformer")
+        autotm = place_autotm(training, platform, quick)
         traffic, seconds = autotm.traffic, autotm.seconds
         extra = {}
     else:

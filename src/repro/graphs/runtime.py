@@ -30,14 +30,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.config import BATCH_LINES
 from repro.errors import ConfigurationError
 from repro.graphs.csr import CSRGraph
 from repro.memsys.backends import MemoryBackend
 from repro.perf.counters import AccessContext, AccessKind, Pattern
 from repro.perf.sampler import CounterSampler
-
-_BATCH_LINES = BATCH_LINES
 
 
 @dataclass(frozen=True)
@@ -162,10 +159,7 @@ class GraphRuntime:
     # -- traffic ---------------------------------------------------------------
 
     def _issue(self, lines: np.ndarray, kind: AccessKind, weight: int) -> None:
-        for begin in range(0, lines.size, _BATCH_LINES):
-            self.backend.access(
-                lines[begin : begin + _BATCH_LINES], kind, self.ctx, weight=weight
-            )
+        self.backend.stream(lines, kind, self.ctx, weight=weight)
 
     def sequential_read(self, name: str, idx: Optional[np.ndarray] = None) -> None:
         """Stream an array (or the lines covering ``idx``) in order."""

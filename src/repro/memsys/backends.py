@@ -23,7 +23,7 @@ from typing import Iterator, List, Optional, Protocol
 import numpy as np
 
 from repro import obs
-from repro.config import PlatformConfig
+from repro.config import BATCH_LINES, PlatformConfig
 from repro.perf.counters import (
     AccessContext,
     AccessKind,
@@ -129,6 +129,21 @@ class MemoryBackend(Protocol):
 
         ``weight`` multiplies the recorded traffic: stride-sampling
         executors simulate every N-th line and weight the result by N.
+        """
+        ...
+
+    def stream(
+        self,
+        lines: np.ndarray,
+        kind: AccessKind,
+        ctx: AccessContext,
+        *,
+        weight: int = 1,
+        advance: bool = True,
+    ) -> Traffic:
+        """Issue ``lines`` as ``BATCH_LINES``-sized :meth:`access` batches.
+
+        Returns the traffic summed over the batches.
         """
         ...
 
@@ -241,6 +256,23 @@ class _EpochSupport:
             "LLC request batch size per backend access",
         ).observe(int(np.size(lines)))
         return report
+
+    def stream(
+        self,
+        lines: np.ndarray,
+        kind: AccessKind,
+        ctx: AccessContext,
+        *,
+        weight: int = 1,
+        advance: bool = True,
+    ) -> Traffic:
+        total = Traffic()
+        for begin in range(0, lines.size, BATCH_LINES):
+            report = self.access(
+                lines[begin : begin + BATCH_LINES], kind, ctx, advance=advance, weight=weight
+            )
+            total += report.traffic
+        return total
 
     def _access(
         self,

@@ -24,13 +24,14 @@ aligned to ``N * line_size`` by the planner).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from repro import obs
-from repro.config import BATCH_LINES
+from repro.config import CPUConfig
 from repro.errors import ConfigurationError
 from repro.memsys.backends import MemoryBackend
 from repro.perf.counters import (
@@ -42,14 +43,14 @@ from repro.perf.counters import (
 )
 from repro.nn.ir import COMPUTE_BOUND_KINDS, Graph, Op, OpKind, Tensor
 from repro.nn.planner import MemoryPlan
-from repro.perf.sampler import CounterSampler
+from repro.perf.trace import Trace, TracePoint
 
 #: Fraction of peak flops achieved by tuned compute-bound kernels.
 COMPUTE_EFFICIENCY = 0.6
 #: Fraction of peak flops achieved by memory-bound elementwise kernels.
 ELEMENTWISE_EFFICIENCY = 0.3
-
-_BATCH_LINES = BATCH_LINES
+#: Worker threads every training kernel (and AutoTM copy) runs on.
+KERNEL_THREADS = 24
 
 
 @dataclass
@@ -63,6 +64,7 @@ class KernelRecord:
     tags: TagStats
     compute_seconds: float
     memory_seconds: float
+    instructions: int
 
     @property
     def seconds(self) -> float:
@@ -71,7 +73,7 @@ class KernelRecord:
 
 @dataclass
 class ExecutionResult:
-    """Outcome of one (or more) executed training iterations."""
+    """Outcome of one executed training iteration."""
 
     graph: Graph
     records: List[KernelRecord] = field(default_factory=list)
@@ -94,15 +96,28 @@ class ExecutionResult:
             total += record.tags
         return total
 
-    def records_for(self, kinds: Sequence[OpKind]) -> List[KernelRecord]:
-        wanted = set(kinds)
-        return [r for r in self.records if r.op.kind in wanted]
+    @property
+    def trace(self) -> Trace:
+        """One counter-delta point per record, labelled with its op."""
+        return Trace(
+            [
+                TracePoint(
+                    start=r.start,
+                    end=r.end,
+                    traffic=r.traffic,
+                    tags=r.tags,
+                    instructions=r.instructions,
+                    label=r.op.name,
+                )
+                for r in self.records
+            ]
+        )
 
 
 class TensorAddresser:
     """Maps planned tensors to (sampled) line-address arrays."""
 
-    def __init__(self, plan: MemoryPlan, base_line: int, sample_stride: int, line_size: int) -> None:
+    def __init__(self, plan: MemoryPlan, sample_stride: int, line_size: int) -> None:
         if sample_stride < 1:
             raise ConfigurationError("sample_stride must be >= 1")
         if plan.alignment % (sample_stride * line_size):
@@ -111,7 +126,6 @@ class TensorAddresser:
                 f"sample_stride * line_size = {sample_stride * line_size}"
             )
         self.plan = plan
-        self.base_line = base_line
         self.sample_stride = sample_stride
         self.line_size = line_size
         self._cache: Dict[Tensor, np.ndarray] = {}
@@ -121,16 +135,11 @@ class TensorAddresser:
         cached = self._cache.get(tensor)
         if cached is not None:
             return cached
-        offset = self.plan.offset_of(tensor)
-        first = self.base_line + offset // self.line_size
+        first = self.plan.offset_of(tensor) // self.line_size
         num_lines = -(-tensor.size_bytes // self.line_size)
         lines = first + np.arange(0, num_lines, self.sample_stride, dtype=np.int64)
         self._cache[tensor] = lines
         return lines
-
-    @property
-    def total_lines(self) -> int:
-        return -(-self.plan.total_bytes // self.line_size)
 
 
 def compute_time(op: Op, peak_flops: float) -> float:
@@ -147,64 +156,63 @@ def execute_iteration(
     plan: MemoryPlan,
     backend: MemoryBackend,
     *,
-    threads: int = 24,
-    base_line: int = 0,
     sample_stride: int = 16,
-    sampler: Optional[CounterSampler] = None,
-    iterations: int = 1,
 ) -> ExecutionResult:
-    """Run ``iterations`` training iterations of the planned graph."""
-    if iterations < 1:
-        raise ConfigurationError("iterations must be >= 1")
+    """Run one training iteration of the planned graph."""
     platform = backend.timing.platform
     cpu = platform.socket.cpu
-    addresser = TensorAddresser(plan, base_line, sample_stride, platform.line_size)
+    addresser = TensorAddresser(plan, sample_stride, platform.line_size)
 
+    tele = obs.get()
     result = ExecutionResult(graph=plan.graph)
-    for _ in range(iterations):
-        for op in plan.graph.ops:
-            # Streams at the memory controller: one per tensor read,
-            # two per output (RFO + write-back).
-            streams = max(1, len(op.inputs) + 2 * len(op.outputs))
-            ctx = AccessContext(
-                threads=threads, pattern=Pattern.SEQUENTIAL, streams=streams
-            )
-            record = _run_op(op, addresser, backend, ctx, cpu, sample_stride)
-            result.records.append(record)
-            if sampler is not None:
-                sampler.sample(label=op.name)
+    for op in plan.graph.ops:
+        # Streams at the memory controller: one per tensor read,
+        # two per output (RFO + write-back).
+        streams = max(1, len(op.inputs) + 2 * len(op.outputs))
+        ctx = AccessContext(
+            threads=KERNEL_THREADS, pattern=Pattern.SEQUENTIAL, streams=streams
+        )
+        with contextlib.ExitStack() as stack:
+            if tele.enabled:
+                stack.enter_context(
+                    tele.span(
+                        "nn.kernel",
+                        cat="nn",
+                        clock=lambda: backend.counters.time,
+                        op=op.name,
+                        kind=op.kind.value,
+                    )
+                )
+            record = execute_op(op, addresser.lines, backend, ctx, cpu, sample_stride)
+        result.records.append(record)
     return result
 
 
-def _run_op(op, addresser, backend, ctx, cpu, weight) -> KernelRecord:
-    tele = obs.get()
-    if tele.enabled:
-        with tele.span(
-            "nn.kernel",
-            cat="nn",
-            clock=lambda: backend.counters.time,
-            op=op.name,
-            kind=op.kind.value,
-        ):
-            return _run_op_inner(op, addresser, backend, ctx, cpu, weight)
-    return _run_op_inner(op, addresser, backend, ctx, cpu, weight)
-
-
-def _run_op_inner(op, addresser, backend, ctx, cpu, weight) -> KernelRecord:
+def execute_op(
+    op: Op,
+    lines_of: Callable[[Tensor], np.ndarray],
+    backend: MemoryBackend,
+    ctx: AccessContext,
+    cpu: CPUConfig,
+    weight: int,
+) -> KernelRecord:
+    """Run one kernel in its own epoch; ``lines_of`` addresses its tensors."""
     start = backend.counters.time
     with backend.epoch(ctx) as epoch:
         if op.kind is not OpKind.PARAMETER:
             for tensor in op.inputs:
-                _stream(backend, addresser.lines(tensor), AccessKind.LLC_READ, ctx, weight)
+                backend.stream(lines_of(tensor), AccessKind.LLC_READ, ctx, weight=weight)
             if op.kind is OpKind.SGD_UPDATE:
                 # In-place weight update: the read above doubles as the
                 # ownership read; write the weight back.
-                _stream(backend, addresser.lines(op.inputs[0]), AccessKind.LLC_WRITE, ctx, weight)
+                backend.stream(
+                    lines_of(op.inputs[0]), AccessKind.LLC_WRITE, ctx, weight=weight
+                )
             for tensor in op.outputs:
                 # Standard stores write-allocate: RFO first, write-back after.
-                lines = addresser.lines(tensor)
-                _stream(backend, lines, AccessKind.LLC_READ, ctx, weight)
-                _stream(backend, lines, AccessKind.LLC_WRITE, ctx, weight)
+                lines = lines_of(tensor)
+                backend.stream(lines, AccessKind.LLC_READ, ctx, weight=weight)
+                backend.stream(lines, AccessKind.LLC_WRITE, ctx, weight=weight)
         epoch.add_compute(compute_time(op, cpu.peak_flops))
     instructions = int(op.flops * cpu.instructions_per_flop) + int(
         epoch.traffic.demand_bytes * cpu.instructions_per_byte
@@ -218,9 +226,5 @@ def _run_op_inner(op, addresser, backend, ctx, cpu, weight) -> KernelRecord:
         tags=epoch.tags,
         compute_seconds=epoch.compute_seconds,
         memory_seconds=epoch.memory_seconds,
+        instructions=instructions,
     )
-
-
-def _stream(backend, lines: np.ndarray, kind: AccessKind, ctx, weight: int) -> None:
-    for begin in range(0, lines.size, _BATCH_LINES):
-        backend.access(lines[begin : begin + _BATCH_LINES], kind, ctx, weight=weight)

@@ -1,5 +1,7 @@
 """Tests for the AutoTM 1LM executor."""
 
+import dataclasses
+
 import pytest
 
 from repro.autotm import (
@@ -8,10 +10,16 @@ from repro.autotm import (
     execute_autotm,
     solve_ilp,
 )
+from repro.autotm import executor as autotm_executor
+from repro.autotm.dma import execute_autotm_async
 from repro.config import default_platform
+from repro.errors import ConfigurationError
+from repro.memsys import FlatBackend
 from repro.nn import build_training_graph
 from repro.nn.ir import OpKind
 from repro.nn.ops import GraphBuilder
+from repro.perf.counters import UncoreCounters
+from tests.nn.test_executor import assert_trace_matches_counters
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +115,38 @@ class TestTrafficAccounting:
         _, _, result = setup
         t = result.traffic
         assert t.total_accesses == t.demand_accesses
+
+
+class TestRecordTrace:
+    def test_trace_is_the_counter_delta(self, platform, setup, monkeypatch):
+        """Kernels and moves together account for every counter change."""
+        training, plan, _ = setup
+        backends = []
+
+        def capture(*args, **kwargs):
+            backends.append(FlatBackend(*args, **kwargs))
+            return backends[-1]
+
+        monkeypatch.setattr(autotm_executor, "FlatBackend", capture)
+        result = execute_autotm(training, plan, platform, sample_stride=16)
+        (backend,) = backends
+        assert_trace_matches_counters(
+            result.trace, UncoreCounters().snapshot(), backend.counters.snapshot()
+        )
+        assert [p.label for p in result.trace] == [r.op.name for r in result.records]
+
+
+@pytest.mark.parametrize("execute", [execute_autotm, execute_autotm_async])
+def test_nvram_pool_overflow_rejected(platform, setup, execute):
+    """Both executors check the NVRAM pool before running anything."""
+    training, plan, _ = setup
+    assert plan.count(PlacementMode.STASH) > 0
+    socket = platform.socket
+    tiny = dataclasses.replace(
+        platform,
+        socket=dataclasses.replace(
+            socket, nvram=dataclasses.replace(socket.nvram, capacity=platform.line_size)
+        ),
+    )
+    with pytest.raises(ConfigurationError, match="NVRAM pool overflows"):
+        execute(training, plan, tiny, sample_stride=16)

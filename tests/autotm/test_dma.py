@@ -8,6 +8,7 @@ from repro.config import default_platform
 from repro.errors import ConfigurationError
 from repro.nn import build_training_graph
 from repro.nn.ops import GraphBuilder
+from repro.units import GB
 
 
 @pytest.fixture(scope="module")
@@ -87,4 +88,12 @@ class TestAsyncExecution:
         with pytest.raises(ConfigurationError):
             execute_autotm_async(
                 training, plan, platform, engine=DMAEngineConfig(lookahead=0)
+            )
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -GB])
+    def test_rejects_non_positive_bandwidth(self, platform, setup, bandwidth):
+        training, plan = setup
+        with pytest.raises(ConfigurationError, match="bandwidth"):
+            execute_autotm_async(
+                training, plan, platform, engine=DMAEngineConfig(bandwidth=bandwidth)
             )

@@ -5,9 +5,9 @@ import pytest
 
 from repro.cache import DirectMappedCache
 from repro.cache.base import AccessKind
-from repro.config import default_platform
+from repro.config import BATCH_LINES, default_platform
 from repro.memsys import AddressMap, CachedBackend, FlatBackend
-from repro.perf.counters import AccessContext
+from repro.perf.counters import AccessContext, Traffic
 
 
 @pytest.fixture
@@ -139,3 +139,50 @@ class TestEpochs:
         with cached.epoch(AccessContext()) as epoch:
             with pytest.raises(ValueError):
                 epoch.add_compute(-1.0)
+
+
+class TestStream:
+    @pytest.fixture
+    def spied(self, platform):
+        """A flat backend whose ``access`` calls are recorded."""
+        amap = AddressMap.numa_preferred(dram_lines=BATCH_LINES, nvram_lines=2 * BATCH_LINES)
+        backend = FlatBackend(platform, amap)
+        calls = []
+        access = backend.access
+
+        def spy(lines, kind, ctx, advance=True, weight=1):
+            report = access(lines, kind, ctx, advance=advance, weight=weight)
+            calls.append((lines.size, report))
+            return report
+
+        backend.access = spy
+        return backend, calls
+
+    def lines(self):
+        return np.arange(5 * BATCH_LINES // 2, dtype=np.int64)
+
+    def test_chunks_at_batch_lines(self, spied):
+        backend, calls = spied
+        backend.stream(self.lines(), AccessKind.LLC_READ, AccessContext())
+        assert [size for size, _ in calls] == [BATCH_LINES, BATCH_LINES, BATCH_LINES // 2]
+
+    def test_returns_summed_traffic(self, spied):
+        backend, calls = spied
+        total = backend.stream(self.lines(), AccessKind.LLC_WRITE, AccessContext())
+        assert total == sum((report.traffic for _, report in calls), Traffic())
+        assert total.dram_writes == BATCH_LINES
+        assert total.nvram_writes == 3 * BATCH_LINES // 2
+
+    def test_weight_scales_like_access(self, spied):
+        backend, _ = spied
+        lines = self.lines()
+        ctx = AccessContext()
+        weighted = backend.stream(lines, AccessKind.LLC_READ, ctx, weight=16)
+        assert weighted == backend.stream(lines, AccessKind.LLC_READ, ctx).scaled(16)
+
+    def test_advance_false_leaves_clock(self, spied):
+        backend, _ = spied
+        backend.stream(self.lines(), AccessKind.LLC_READ, AccessContext(), advance=False)
+        assert backend.counters.time == 0
+        backend.stream(self.lines(), AccessKind.LLC_READ, AccessContext())
+        assert backend.counters.time > 0

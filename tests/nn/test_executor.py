@@ -11,6 +11,8 @@ from repro.nn import build_training_graph, execute_iteration, plan_memory
 from repro.nn.executor import TensorAddresser, compute_time
 from repro.nn.ir import OpKind
 from repro.nn.ops import GraphBuilder
+from repro.perf.counters import TagStats, Traffic
+from repro.units import TB
 
 
 @pytest.fixture(scope="module")
@@ -29,13 +31,11 @@ def small_training_setup():
     return training, plan
 
 
-def run_once(platform, sample_stride=16, iterations=1):
+def run_once(platform, sample_stride=16):
     training, plan = small_training_setup()
     cache = DirectMappedCache(platform.socket.dram_capacity)
     backend = CachedBackend(platform, cache)
-    return execute_iteration(
-        plan, backend, sample_stride=sample_stride, iterations=iterations
-    ), training, plan
+    return execute_iteration(plan, backend, sample_stride=sample_stride), training, plan
 
 
 class TestExecution:
@@ -68,17 +68,35 @@ class TestExecution:
         sgd = [r for r in result.records if r.op.kind is OpKind.SGD_UPDATE][0]
         assert sgd.traffic.demand_writes > 0
 
-    def test_iterations_multiply(self, platform):
-        one, _, _ = run_once(platform, iterations=1)
-        two, _, _ = run_once(platform, iterations=2)
-        assert len(two.records) == 2 * len(one.records)
 
-    def test_rejects_zero_iterations(self, platform):
-        training, plan = small_training_setup()
-        cache = DirectMappedCache(platform.socket.dram_capacity)
-        backend = CachedBackend(platform, cache)
-        with pytest.raises(ConfigurationError):
-            execute_iteration(plan, backend, iterations=0)
+class TestRecordTrace:
+    def test_trace_is_the_counter_delta(self, platform):
+        """The record-derived trace accounts for every counter change."""
+        _, plan = small_training_setup()
+        backend = CachedBackend(platform, DirectMappedCache(platform.socket.dram_capacity))
+        execute_iteration(plan, backend)  # warm-up: the run starts mid-clock
+        before = backend.counters.snapshot()
+        result = execute_iteration(plan, backend)
+        assert_trace_matches_counters(result.trace, before, backend.counters.snapshot())
+
+    def test_labels_are_op_names(self, platform):
+        result, _, plan = run_once(platform)
+        assert [p.label for p in result.trace] == [op.name for op in plan.graph.ops]
+
+
+def assert_trace_matches_counters(trace, before, after):
+    """Contiguous points spanning [before, after] whose sums equal the
+    counter delta exactly: no activity escapes a record."""
+    points = trace.points
+    delta = after.delta(before)
+    assert points[0].start == before.time
+    for earlier, later in zip(points, points[1:]):
+        assert earlier.end == later.start
+    assert points[-1].end == after.time
+    assert points[-1].end - points[0].start == delta.time
+    assert sum((p.traffic for p in points), Traffic()) == delta.traffic
+    assert sum((p.tags for p in points), TagStats()) == delta.tags
+    assert sum(p.instructions for p in points) == delta.instructions
 
 
 class TestStrideSampling:
@@ -107,7 +125,7 @@ class TestComputeTime:
         b = GraphBuilder("t", batch=1)
         x = b.input(1, 8, 8)
         y = b.concat([x])
-        assert compute_time(y.producer, 1e12) == 0.0
+        assert compute_time(y.producer, TB) == 0.0
 
     def test_compute_bound_kinds_more_efficient(self):
         b = GraphBuilder("t", batch=1, weight_scale=1)
@@ -116,13 +134,13 @@ class TestComputeTime:
         bn_out = b.batch_norm(conv_out)
         conv, bn = conv_out.producer, bn_out.producer
         # Same flops would take longer on a memory-bound kernel.
-        assert compute_time(conv, 1e12) / conv.flops < compute_time(bn, 1e12) / bn.flops
+        assert compute_time(conv, TB) / conv.flops < compute_time(bn, TB) / bn.flops
 
 
 class TestTensorAddresser:
     def test_lines_cover_tensor(self, platform):
         _, plan = small_training_setup()
-        addresser = TensorAddresser(plan, base_line=0, sample_stride=1, line_size=64)
+        addresser = TensorAddresser(plan, sample_stride=1, line_size=64)
         tensor = plan.graph.activations[0]
         lines = addresser.lines(tensor)
         assert lines.size == -(-tensor.size_bytes // 64)
@@ -130,7 +148,7 @@ class TestTensorAddresser:
 
     def test_disjoint_concurrent_tensors_have_disjoint_lines(self, platform):
         _, plan = small_training_setup()
-        addresser = TensorAddresser(plan, base_line=0, sample_stride=1, line_size=64)
+        addresser = TensorAddresser(plan, sample_stride=1, line_size=64)
         lives = plan.lives
         for i, a in enumerate(lives):
             for other in lives[i + 1 :]:
