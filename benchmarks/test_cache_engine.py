@@ -46,6 +46,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.cache import DirectMappedCache, SectorCache, SetAssociativeCache
+from repro.cache import engine
 from repro.cache.rounds import (
     RoundsDirectMappedCache,
     RoundsSectorCache,
@@ -53,6 +54,10 @@ from repro.cache.rounds import (
 )
 
 REPEATS = 5
+#: LRU rounds one pass over ``trace_zipfian`` may take.  Rounds run over
+#: same-set line changes, not repeats of one line; the per-occurrence
+#: rank rounds took 931 per pass.
+MAX_TRACE_LRU_ROUNDS = 32
 BENCH_PATH = Path("BENCH_cache.json")
 
 DM_SETS = 1 << 18
@@ -254,3 +259,25 @@ def test_closed_form_engine_speedup():
         if name == "metadata" or name.endswith("/trace_zipfian"):
             continue
         assert row["speedup"] >= 0.95, (name, row)
+
+
+def test_lru_rounds_follow_line_changes(monkeypatch):
+    """Host-noise-free gate: count LRU rounds, not seconds.
+
+    Hot multi-line objects make each hot set see long runs of one line;
+    those repeats must cost no round of their own.
+    """
+    rounds = []
+    lookup = engine._lru_lookup
+
+    def counting_lookup(*args):
+        rounds[-1] += 1
+        return lookup(*args)
+
+    monkeypatch.setattr(engine, "_lru_lookup", counting_lookup)
+    batch = _trace_zipfian_batch()
+    cache = SetAssociativeCache(SA_SETS * SA_WAYS * 64, ways=SA_WAYS)
+    for run_pass in (cache.llc_read, cache.llc_write):
+        rounds.append(0)
+        run_pass(batch)
+    assert all(0 < count <= MAX_TRACE_LRU_ROUNDS for count in rounds), rounds

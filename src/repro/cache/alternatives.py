@@ -15,10 +15,11 @@ hardware cache, the ablation benchmarks compare the real design against:
 LRU recency stamps couple same-set occurrences of *different* lines
 (every access reorders the whole recency stack), so the closed-form
 duplicate resolution of the direct-mapped engine does not apply; the
-engine instead resolves the rank partition of one shared argsort
-round-by-round — ``k = max same-set multiplicity`` rounds, tight for
-LRU — and collision-free batches (proven by the duplicate probe) skip
-both the sort and the loop.  See :func:`repro.cache.engine.
+engine instead resolves each set's *line changes* round-by-round over
+the one shared grouping — ``k = max same-set line changes`` rounds,
+tight for LRU.  A repeat of the set's previous line is an MRU hit that
+costs no round, so hot-key runs collapse, and collision-free batches
+skip both the sort and the loop.  See :func:`repro.cache.engine.
 setassoc_read_batch`.
 """
 
@@ -57,6 +58,11 @@ class SetAssociativeCache:
     ) -> None:
         if ways <= 0:
             raise ConfigurationError(f"ways must be positive, got {ways}")
+        if line_size <= 0 or capacity < line_size * ways:
+            raise ConfigurationError(
+                f"cache needs at least one {ways}-way set of {line_size}B lines, "
+                f"got {capacity} bytes"
+            )
         if capacity % (line_size * ways):
             raise ConfigurationError(
                 f"capacity {capacity} is not divisible into {ways}-way sets"

@@ -26,7 +26,8 @@ dirty, so every miss after a set's first occurrence is a dirty miss.
 The Dirty Data Optimization needs the "known resident" bit, which
 survives only along an unbroken prefix of tag matches, so DDO applies
 to occurrence ``k`` iff the set started known-resident and occurrences
-``0..k`` all match — an exclusive segmented mismatch count of zero.
+``0..k`` all match — no mismatch before it in its segment
+(:meth:`~repro.perf.segments.SegmentedBatch.none_before`).
 Final state: last line, dirty, known-resident only if the set started
 so and the whole segment matched.
 
@@ -54,29 +55,39 @@ at least one fill per active run per pass — independent of batch size.
 
 **Set-associative LRU.**  LRU stamps couple same-set occurrences of
 *different* lines (every access reorders the whole recency stack), so
-occurrence ``k``'s victim depends on the full prefix — the recurrence
-is resolved round-by-round over the rank partition of the one shared
-sort.  The bound is ``k = max same-set multiplicity`` and it is tight:
-a same-set chain of ``ways + 1`` alternating lines makes every access's
-hit/victim decision depend on the previous access's stamp update.
-Collision-free batches (the common uniform case) skip the loop and the
-sort entirely via the duplicate probe.
+occurrence ``k``'s victim depends on the full prefix and is resolved
+round-by-round.  A *repeat* — an occurrence whose line equals the
+previous occurrence of its set — is the exception: it always hits the
+MRU way and changes no tag, dirty or known-resident bit, so the rounds
+run over the remaining *run heads* only, and each head writes the stamp
+its run's last occurrence would leave (``clock + 1 + rank``), which
+keeps every stamp and the clock equal to one round per occurrence rank.
+Repeats only add counts: a read repeat is a hit, a write repeat a DDO
+write if its head was one and a checked hit otherwise.  The bound is
+``k = max same-set line changes`` per batch, not multiplicity, and it
+is tight: a same-set chain of ``ways + 1`` alternating lines makes every
+access's hit/victim decision depend on the previous access's stamp
+update.  Collision-free batches (the common uniform case) skip the loop
+and the sort entirely.
 
-Each closed form is a handful of vectorized segment operations — at
-most one stable argsort per batch (zero for probe-proven uniform
-batches, shared across the read and write pass when the line vector is
-reused) — and is property-tested bit-for-bit against scalar references
+Each closed form is a handful of vectorized segment operations over one
+grouping — zero sorts for sorted, non-decreasing or probe-proven uniform
+batches, at most one otherwise, shared across the read and write pass
+when the line vector is reused (see :mod:`repro.perf.segments` for the
+sort ladder) — and the segmented "first True" queries they need are a
+``flatnonzero`` and a gather, not a prefix sum.  Every closed form is
+property-tested bit-for-bit against scalar references
 (``tests/cache/test_engine_property.py``).
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import NamedTuple, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.perf.segments import DuplicateProbe, SegmentedBatch, segment
+from repro.perf.segments import DuplicateProbe, SegmentedBatch, run_labels, segment
 
 _FULL_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 _ONE = np.uint64(1)
@@ -94,16 +105,21 @@ else:  # pragma: no cover - numpy < 2.0 fallback
         return bits.sum(axis=1, dtype=np.int64)
 
 
+def _count(mask: np.ndarray) -> int:
+    """Number of True entries of a boolean mask."""
+    return int(np.count_nonzero(mask))
+
+
 class BatchSegmenter:
-    """Per-model segmentation cache: at most one argsort per line batch.
+    """Per-model segmentation cache: at most one sort per line batch.
 
     Owns the model's :class:`~repro.perf.segments.DuplicateProbe` (so
     probe-proven uniform batches skip the sort entirely) and remembers
     the most recent batch's :class:`SegmentedBatch` keyed on array
     identity.  A workload that feeds the same line vector to
     ``llc_read`` and then ``llc_write`` — the read-modify-write shape of
-    the paper's microbenchmarks — therefore pays for exactly one stable
-    argsort across both passes.
+    the paper's microbenchmarks — therefore groups it once across both
+    passes.
 
     Reuse is only offered for arrays marked non-writeable (the memoized
     ``access_blocks()``/``lfsr_sequence()`` streams the executors feed
@@ -176,15 +192,15 @@ def read_batch(
         # No set is touched twice: the whole batch is one independent round.
         hit = tags[sets] == lines
         miss = ~hit
-        n_miss = int(miss.sum())
-        n_dirty = int((miss & dirty[sets]).sum())
+        n_miss = _count(miss)
+        n_dirty = _count(miss & dirty[sets])
         miss_sets = sets[miss]
         tags[miss_sets] = lines[miss]
         dirty[miss_sets] = False
         known_resident[sets] = True
         return ReadCounts(n, n_miss, n_dirty), (miss if want_misses else None)
 
-    grouped_lines = lines[seg.order]
+    grouped_lines = seg.grouped(lines)
     grouped_sets = seg.sorted_keys
     lead_sets = grouped_sets[seg.first]
     # Previous occurrence's line; the pre-batch resident tag for firsts.
@@ -192,11 +208,11 @@ def read_batch(
     prev[1:] = grouped_lines[:-1]
     prev[seg.first] = tags[lead_sets]
     miss = grouped_lines != prev
-    n_miss = int(miss.sum())
+    n_miss = _count(miss)
     # Only a segment's first miss can see pre-batch dirty state; every
     # later miss evicts a line this batch installed clean.
-    first_miss = miss & (seg.exclusive_count(miss) == 0)
-    n_dirty = int((first_miss & dirty[grouped_sets]).sum())
+    first_miss = seg.first_mask(miss)
+    n_dirty = _count(first_miss & dirty[grouped_sets])
 
     seg_missed = seg.segment_total(miss) > 0
     tags[lead_sets] = grouped_lines[seg.last]
@@ -258,7 +274,7 @@ def _write_distinct(
         ddo = np.zeros(n, dtype=bool)
     hit = match & ~ddo
     miss = ~match
-    n_dirty = int((miss & dirty[sets]).sum())
+    n_dirty = _count(miss & dirty[sets])
 
     dirty[sets[ddo]] = True
     dirty[sets[hit]] = True
@@ -267,7 +283,7 @@ def _write_distinct(
         tags[miss_sets] = lines[miss]
         dirty[miss_sets] = True
         known_resident[miss_sets] = False
-    return WriteCounts(n, int(ddo.sum()), int(hit.sum()), int(miss.sum()), n_dirty)
+    return WriteCounts(n, _count(ddo), _count(hit), _count(miss), n_dirty)
 
 
 def _write_insert(
@@ -280,7 +296,7 @@ def _write_insert(
     ddo_enabled: bool,
 ) -> WriteCounts:
     n = int(lines.size)
-    grouped_lines = lines[seg.order]
+    grouped_lines = seg.grouped(lines)
     grouped_sets = seg.sorted_keys
     lead_sets = grouped_sets[seg.first]
     prev = np.empty_like(grouped_lines)
@@ -290,20 +306,20 @@ def _write_insert(
     mismatch = ~match
     if ddo_enabled:
         # Known-residency survives only an unbroken prefix of matches.
-        ddo = match & (seg.exclusive_count(mismatch) == 0) & known_resident[grouped_sets]
+        ddo = match & seg.none_before(mismatch) & known_resident[grouped_sets]
     else:
         ddo = np.zeros(n, dtype=bool)
     hit = match & ~ddo
     # Every write leaves its set dirty, so any miss after a set's first
     # occurrence evicts a line this batch dirtied.
     dirty_miss = mismatch & (dirty[grouped_sets] | ~seg.first)
-    n_dirty = int(dirty_miss.sum())
+    n_dirty = _count(dirty_miss)
 
     seg_mismatched = seg.segment_total(mismatch) > 0
     tags[lead_sets] = grouped_lines[seg.last]
     dirty[lead_sets] = True
     known_resident[lead_sets] &= ~seg_mismatched
-    return WriteCounts(n, int(ddo.sum()), int(hit.sum()), int(mismatch.sum()), n_dirty)
+    return WriteCounts(n, _count(ddo), _count(hit), _count(mismatch), n_dirty)
 
 
 def _write_around(
@@ -316,7 +332,7 @@ def _write_around(
     ddo_enabled: bool,
 ) -> WriteCounts:
     n = int(lines.size)
-    grouped_lines = lines[seg.order]
+    grouped_lines = seg.grouped(lines)
     grouped_sets = seg.sorted_keys
     lead_sets = grouped_sets[seg.first]
     # A write-around miss leaves the set untouched, so every occurrence
@@ -329,11 +345,11 @@ def _write_around(
     hit = match & ~ddo
     miss = ~match
     # The set turns dirty at its first match (hit or DDO write).
-    dirty_at = dirty[grouped_sets] | (seg.exclusive_count(match) > 0)
-    n_dirty = int((miss & dirty_at).sum())
+    dirty_at = dirty[grouped_sets] | ~seg.none_before(match)
+    n_dirty = _count(miss & dirty_at)
 
     dirty[lead_sets] |= seg.segment_total(match) > 0
-    return WriteCounts(n, int(ddo.sum()), int(hit.sum()), int(miss.sum()), n_dirty)
+    return WriteCounts(n, _count(ddo), _count(hit), _count(miss), n_dirty)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +406,7 @@ def _run_partition(
     view, one per segment-first or reset position.
     """
     run_start = seg.first | reset
-    run_id = np.cumsum(run_start) - 1
-    return run_id, np.flatnonzero(run_start)
+    return run_labels(run_start), np.flatnonzero(run_start)
 
 
 def sector_read_batch(
@@ -423,10 +438,9 @@ def sector_read_batch(
             sectors, offsets, windows, seg.keys, tags, valid, dirty
         )
 
-    g = seg.order
-    gs = sectors[g]
-    go = offsets[g].astype(np.uint64)
-    gw = windows[g]
+    gs = seg.grouped(sectors)
+    go = seg.grouped(offsets).astype(np.uint64)
+    gw = seg.grouped(windows)
     gsets = seg.sorted_keys
     lead_sets = gsets[seg.first]
 
@@ -467,14 +481,14 @@ def sector_read_batch(
         coverage[head_runs] = before | gw[heads]
         todo = todo[~frontier]
 
-    n_hits = int((tag_match & ~fill).sum())
-    n_line_miss = int((tag_match & fill).sum())
-    n_sector_miss = int(sector_miss.sum())
+    n_hits = _count(tag_match & ~fill)
+    n_line_miss = _count(tag_match & fill)
+    n_sector_miss = _count(sector_miss)
     # Reads never dirty lines, so only the segment's *first* sector miss
     # can evict pre-batch dirty state; later victims are clean.
-    first_sector_miss = sector_miss & (seg.exclusive_count(sector_miss) == 0)
+    first_sector_miss = seg.first_mask(sector_miss)
     evict_source = dirty[gsets[first_sector_miss]]
-    n_dirty_miss = int((evict_source != _ZERO).sum())
+    n_dirty_miss = _count(evict_source != _ZERO)
     evicted = int(popcount(evict_source).sum())
 
     tags[lead_sets] = gs[seg.last]
@@ -509,7 +523,7 @@ def _sector_read_distinct(
     fetched = int(popcount(windows[line_miss] & ~resident_valid[line_miss]).sum())
     fetched += int(popcount(windows[sector_miss]).sum())
     evict_source = dirty[index[sector_miss]]
-    n_dirty_miss = int((evict_source != _ZERO).sum())
+    n_dirty_miss = _count(evict_source != _ZERO)
     evicted = int(popcount(evict_source).sum())
 
     lm_index = index[line_miss]
@@ -520,9 +534,9 @@ def _sector_read_distinct(
     dirty[sm_index] = _ZERO
     return SectorReadCounts(
         n,
-        int(hit.sum()),
-        int(line_miss.sum()),
-        int(sector_miss.sum()),
+        _count(hit),
+        _count(line_miss),
+        _count(sector_miss),
         n_dirty_miss,
         fetched,
         evicted,
@@ -554,7 +568,7 @@ def sector_write_batch(
         tag_match = tags[index] == sectors
         miss = ~tag_match
         evict_source = dirty[index[miss]]
-        n_dirty_miss = int((evict_source != _ZERO).sum())
+        n_dirty_miss = _count(evict_source != _ZERO)
         evicted = int(popcount(evict_source).sum())
 
         hit_index = index[tag_match]
@@ -565,12 +579,11 @@ def sector_write_batch(
         valid[miss_index] = bits[miss]
         dirty[miss_index] = bits[miss]
         return SectorWriteCounts(
-            n, int(tag_match.sum()), int(miss.sum()), n_dirty_miss, evicted
+            n, _count(tag_match), _count(miss), n_dirty_miss, evicted
         )
 
-    g = seg.order
-    gs = sectors[g]
-    gb = bits[g]
+    gs = seg.grouped(sectors)
+    gb = seg.grouped(bits)
     gsets = seg.sorted_keys
     lead_sets = gsets[seg.first]
 
@@ -597,7 +610,7 @@ def sector_write_batch(
     closers = miss_pos[~opens_segment]
     prev_run = run_id[closers] - 1
     evict_source[~opens_segment] = run_init_dirty[prev_run] | run_or[prev_run]
-    n_dirty_miss = int((evict_source != _ZERO).sum())
+    n_dirty_miss = _count(evict_source != _ZERO)
     evicted = int(popcount(evict_source).sum())
 
     last_run = run_id[seg.last]
@@ -605,12 +618,12 @@ def sector_write_batch(
     valid[lead_sets] = run_init_valid[last_run] | run_or[last_run]
     dirty[lead_sets] = run_init_dirty[last_run] | run_or[last_run]
     return SectorWriteCounts(
-        n, int(tag_match.sum()), int(miss.sum()), n_dirty_miss, evicted
+        n, _count(tag_match), _count(miss), n_dirty_miss, evicted
     )
 
 
 # ---------------------------------------------------------------------------
-# Set-associative LRU (k-bounded round resolution)
+# Set-associative LRU (k-bounded round resolution over line changes)
 # ---------------------------------------------------------------------------
 
 
@@ -620,12 +633,68 @@ def _lru_lookup(
     tags: np.ndarray,
     stamp: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-request (hit mask, way): the hit way or the LRU victim."""
-    matches = tags[sub_sets] == sub_lines[:, None]
-    hit = matches.any(axis=1)
-    hit_way = matches.argmax(axis=1)
-    victim_way = stamp[sub_sets].argmin(axis=1)
-    return hit, np.where(hit, hit_way, victim_way)
+    """Per-request (hit mask, cell): the flat ``(set, way)`` index of the
+    hit way or of the LRU victim.
+
+    State is read and written by cell with ``np.take``/``np.put``: one
+    flat index is several times cheaper than a ``(set, way)`` index pair.
+    """
+    ways = tags.shape[1]
+    # ``np.take`` gathers whole rows faster than fancy indexing, and the
+    # first matching way (argmax; 0 when none matches) holds the line
+    # exactly on a hit, which is cheaper than a row-wise ``any``.
+    way = (np.take(tags, sub_sets, axis=0) == sub_lines[:, None]).argmax(axis=1)
+    cell = sub_sets * ways + way
+    hit = np.take(tags, cell) == sub_lines
+    miss = np.flatnonzero(~hit)
+    victim_sets = sub_sets[miss]
+    cell[miss] = victim_sets * ways + np.take(stamp, victim_sets, axis=0).argmin(axis=1)
+    return hit, cell
+
+
+_LruRound = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _lru_rounds(
+    lines: np.ndarray, seg: SegmentedBatch, clock: np.int64
+) -> Tuple[Iterator[_LruRound], np.int64]:
+    """The LRU rounds of one batch, and the clock after it.
+
+    A *repeat* — an occurrence whose line equals the previous occurrence
+    of the same set — always hits the MRU way and changes no tag, dirty
+    or known-resident bit; only its stamp moves.  So the rounds run over
+    the remaining *run heads* only: round ``k`` holds each set's ``k``-th
+    head as ``(lines, sets, stamps, repeats)``, where ``repeats`` counts
+    the repeats trailing each head and ``stamps`` is the stamp its run's
+    last occurrence leaves, ``clock + 1 + rank`` of that occurrence.  The
+    stamps and the returned clock (``clock + 1 + max rank``) are exactly
+    those of one round per occurrence rank.
+    """
+    n = lines.size
+    if not n:
+        return iter(()), clock
+    if seg.collision_free:
+        clock = clock + 1
+        only = (lines, seg.keys, clock, np.broadcast_to(np.int64(0), n))
+        return iter((only,)), clock
+    grouped = seg.grouped(lines)
+    is_head = seg.first.copy()
+    is_head[1:] |= grouped[1:] != grouped[:-1]
+    heads = np.flatnonzero(is_head)
+    runs = seg.select(heads)
+    # Every segment opens with a head, so runs never cross segments.
+    run_end = np.append(heads[1:], n)
+    seg_start = np.repeat(heads[runs.first_pos], np.diff(runs.first_pos, append=heads.size))
+    # clock + 1 + rank of each run's last occurrence (at run_end - 1).
+    stamps = clock + (run_end - seg_start)
+    repeats = run_end - heads - 1
+    head_lines = grouped[heads]
+
+    def rounds() -> Iterator[_LruRound]:
+        for index in runs.rounds():
+            yield head_lines[index], runs.keys[index], stamps[index], repeats[index]
+
+    return rounds(), stamps.max()
 
 
 def setassoc_read_batch(
@@ -640,29 +709,27 @@ def setassoc_read_batch(
     """Apply a batch of LLC reads to set-associative LRU state.
 
     Collision-free batches are one vectorized round (no sort, via the
-    duplicate probe); otherwise the rank partition of the one shared
-    sort is resolved round-by-round — ``k = max same-set multiplicity``
-    rounds, which is tight for LRU (see the module docstring).
-    Returns the updated LRU clock alongside the counts.
+    duplicate probe); otherwise the run heads of the grouped view are
+    resolved round-by-round — ``k = max same-set line changes`` rounds
+    (see the module docstring).  Repeats are MRU hits and only add to
+    the request count.  Returns the updated LRU clock alongside the
+    counts.
     """
     n = int(lines.size)
     n_miss = n_dirty = 0
-    sets = seg.keys
-    for index in seg.rounds():
-        sub_lines, sub_sets = lines[index], sets[index]
-        hit, way = _lru_lookup(sub_lines, sub_sets, tags, stamp)
+    rounds, end_clock = _lru_rounds(lines, seg, clock)
+    for sub_lines, sub_sets, stamps, _ in rounds:
+        hit, cell = _lru_lookup(sub_lines, sub_sets, tags, stamp)
         miss = ~hit
-        dirty_victim = miss & dirty[sub_sets, way]
-        n_miss += int(miss.sum())
-        n_dirty += int(dirty_victim.sum())
+        miss_cell = cell[miss]
+        n_miss += miss_cell.size
+        n_dirty += _count(np.take(dirty, miss_cell))
 
-        miss_sets, miss_way = sub_sets[miss], way[miss]
-        tags[miss_sets, miss_way] = sub_lines[miss]
-        dirty[miss_sets, miss_way] = False
-        known_resident[sub_sets, way] = True
-        clock += 1
-        stamp[sub_sets, way] = clock
-    return ReadCounts(n, n_miss, n_dirty), clock
+        np.put(tags, miss_cell, sub_lines[miss])
+        np.put(dirty, miss_cell, False)
+        np.put(known_resident, cell, True)
+        np.put(stamp, cell, stamps)
+    return ReadCounts(n, n_miss, n_dirty), end_clock
 
 
 def setassoc_write_batch(
@@ -676,32 +743,34 @@ def setassoc_write_batch(
     *,
     ddo_enabled: bool,
 ) -> Tuple[WriteCounts, np.int64]:
-    """Apply a batch of LLC write-backs to set-associative LRU state."""
+    """Apply a batch of LLC write-backs to set-associative LRU state.
+
+    A repeat is a DDO write if its run head was one, and a checked hit
+    otherwise (its head hit without DDO, or missed and installed the
+    line with the known-resident bit cleared).
+    """
     n = int(lines.size)
     n_ddo = n_hit = n_miss = n_dirty = 0
-    sets = seg.keys
-    for index in seg.rounds():
-        sub_lines, sub_sets = lines[index], sets[index]
-        hit, way = _lru_lookup(sub_lines, sub_sets, tags, stamp)
+    rounds, end_clock = _lru_rounds(lines, seg, clock)
+    for sub_lines, sub_sets, stamps, repeats in rounds:
+        hit, cell = _lru_lookup(sub_lines, sub_sets, tags, stamp)
         if ddo_enabled:
-            ddo = hit & known_resident[sub_sets, way]
+            ddo = hit & np.take(known_resident, cell)
         else:
             ddo = np.zeros(sub_lines.size, dtype=bool)
-        checked_hit = hit & ~ddo
         miss = ~hit
-        dirty_victim = miss & dirty[sub_sets, way]
-        n_ddo += int(ddo.sum())
-        n_hit += int(checked_hit.sum())
-        n_miss += int(miss.sum())
-        n_dirty += int(dirty_victim.sum())
+        miss_cell = cell[miss]
+        ddo_repeats = int(repeats[ddo].sum())
+        n_ddo += _count(ddo) + ddo_repeats
+        n_hit += _count(hit & ~ddo) + int(repeats.sum()) - ddo_repeats
+        n_miss += miss_cell.size
+        n_dirty += _count(np.take(dirty, miss_cell))
 
-        dirty[sub_sets, way] = True
-        miss_sets, miss_way = sub_sets[miss], way[miss]
-        tags[miss_sets, miss_way] = sub_lines[miss]
-        known_resident[miss_sets, miss_way] = False
-        clock += 1
-        stamp[sub_sets, way] = clock
-    return WriteCounts(n, n_ddo, n_hit, n_miss, n_dirty), clock
+        np.put(dirty, cell, True)
+        np.put(tags, miss_cell, sub_lines[miss])
+        np.put(known_resident, miss_cell, False)
+        np.put(stamp, cell, stamps)
+    return WriteCounts(n, n_ddo, n_hit, n_miss, n_dirty), end_clock
 
 
 # ---------------------------------------------------------------------------
@@ -754,15 +823,14 @@ def bypass_read_batch(
         known_resident[sets[hit | allocate]] = True
         return BypassReadCounts(
             n,
-            int(miss.sum()),
-            int(allocate.sum()),
-            int(dirty_tagged.sum()),
-            int(dirty_evict.sum()),
+            _count(miss),
+            _count(allocate),
+            _count(dirty_tagged),
+            _count(dirty_evict),
         )
 
-    g = seg.order
-    gl = lines[g]
-    gd = insert_draw[g]
+    gl = seg.grouped(lines)
+    gd = seg.grouped(insert_draw)
     gsets = seg.sorted_keys
     lead_sets = gsets[seg.first]
     pos = np.arange(n, dtype=np.int64)
@@ -781,7 +849,7 @@ def bypass_read_batch(
     miss = ~hit
     allocate = miss & gd
     # Pre-batch dirty state survives until the segment's first allocation.
-    before_alloc = seg.exclusive_count(allocate) == 0
+    before_alloc = seg.none_before(allocate)
     pre_dirty = dirty[gsets]
     dirty_tagged = miss & pre_dirty & before_alloc
     dirty_evict = allocate & pre_dirty & before_alloc
@@ -799,10 +867,10 @@ def bypass_read_batch(
     known_resident[lead_sets[seg_touched]] = True
     return BypassReadCounts(
         n,
-        int(miss.sum()),
-        int(allocate.sum()),
-        int(dirty_tagged.sum()),
-        int(dirty_evict.sum()),
+        _count(miss),
+        _count(allocate),
+        _count(dirty_tagged),
+        _count(dirty_evict),
     )
 
 
@@ -838,24 +906,23 @@ def prefetch_fill_batch(
         tags[inst_sets] = candidates[install]
         dirty[inst_sets] = False
         known_resident[inst_sets] = True
-        return PrefetchCounts(int(install.sum()), int(dirty_evict.sum()))
+        return PrefetchCounts(_count(install), _count(dirty_evict))
 
-    g = seg.order
-    gc = candidates[g]
+    gc = seg.grouped(candidates)
     gsets = seg.sorted_keys
     lead_sets = gsets[seg.first]
     prev = np.empty_like(gc)
     prev[1:] = gc[:-1]
     prev[seg.first] = tags[lead_sets]
     install = gc != prev
-    first_install = install & (seg.exclusive_count(install) == 0)
+    first_install = seg.first_mask(install)
     dirty_evict = first_install & dirty[gsets]
 
     seg_installed = seg.segment_total(install) > 0
     tags[lead_sets] = gc[seg.last]
     dirty[lead_sets] &= ~seg_installed
     known_resident[lead_sets] |= seg_installed
-    return PrefetchCounts(int(install.sum()), int(dirty_evict.sum()))
+    return PrefetchCounts(_count(install), _count(dirty_evict))
 
 
 # ---------------------------------------------------------------------------
@@ -891,9 +958,8 @@ def sector_prime_batch(
         valid[index] = bits
         dirty[index] = bits if mark_dirty else _ZERO
         return
-    g = seg.order
-    gs = sectors[g]
-    gb = bits[g]
+    gs = seg.grouped(sectors)
+    gb = seg.grouped(bits)
     prev = np.empty_like(gs)
     prev[1:] = gs[:-1]
     prev[seg.first] = gs[seg.first]  # priming never inherits resident state
@@ -922,15 +988,14 @@ def setassoc_prime_batch(
 
     Each line lands in its hit way (refreshing recency) or the LRU
     victim way, exactly as a demand access would place it, but with the
-    caller-chosen dirty/known-resident marks and no traffic.
+    caller-chosen dirty/known-resident marks and no traffic.  A repeat
+    re-marks its head's way, so only its stamp matters.
     """
-    sets = seg.keys
-    for index in seg.rounds():
-        sub_lines, sub_sets = lines[index], sets[index]
-        _, way = _lru_lookup(sub_lines, sub_sets, tags, stamp)
-        tags[sub_sets, way] = sub_lines
-        dirty[sub_sets, way] = mark_dirty
-        known_resident[sub_sets, way] = mark_known_resident
-        clock += 1
-        stamp[sub_sets, way] = clock
-    return clock
+    rounds, end_clock = _lru_rounds(lines, seg, clock)
+    for sub_lines, sub_sets, stamps, _ in rounds:
+        _, cell = _lru_lookup(sub_lines, sub_sets, tags, stamp)
+        np.put(tags, cell, sub_lines)
+        np.put(dirty, cell, mark_dirty)
+        np.put(known_resident, cell, mark_known_resident)
+        np.put(stamp, cell, stamps)
+    return end_clock

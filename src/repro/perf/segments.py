@@ -2,36 +2,104 @@
 
 A *segmented batch* groups the positions of one request batch by an
 integer key — for the cache models, the set index — while preserving the
-original order of requests within each key.  A single stable O(n log n)
-argsort yields everything the batched cache engines need:
+original order of requests within each key.  One stable grouping
+permutation yields everything the batched cache engines need:
 
 * ``order`` — batch positions regrouped key-major, original order kept
   within each key (so ``values[order]`` walks each set's accesses in
   program order);
 * ``first`` / ``last`` — occurrence masks over the grouped view;
 * ``rank`` — the occurrence number of each request within its key;
-* segmented prefix counts (:meth:`SegmentedBatch.exclusive_count`) and
-  per-segment totals (:meth:`SegmentedBatch.segment_total`) — the
-  building blocks of the closed-form duplicate-resolution recurrences in
-  :mod:`repro.cache.engine`.
+* segmented "first True" queries (:meth:`SegmentedBatch.first_mask`,
+  :meth:`SegmentedBatch.none_before`) and per-segment totals
+  (:meth:`SegmentedBatch.segment_total`) — the building blocks of the
+  closed-form duplicate-resolution recurrences in
+  :mod:`repro.cache.engine`.  Each is a ``flatnonzero`` of the mask
+  plus a gather of the cached ``segment_id``: no full-length prefix
+  sum over the mask, and no per-segment ``reduceat``.
 
 The legacy decomposition re-ran ``np.unique`` — itself a stable argsort —
 once *per collision round*, so a batch where every line maps to one set
-cost O(n^2 log n).  Everything here is derived from one sort, so
+cost O(n^2 log n).  Everything here is derived from one grouping, so
 adversarial all-same-set batches cost the same O(n log n) as
 collision-free ones.
 
-Uniform traffic skips even the one sort: a :class:`DuplicateProbe` does
-an O(n) scatter/gather over a persistent per-model scratch array to
-prove a batch collision-free, and :meth:`SegmentedBatch.distinct` then
-builds the grouped view as the identity permutation — no argsort at all.
+The grouping itself sorts only when it must.  :func:`segment` counts the
+batch's *descents* (adjacent pairs with ``keys[i + 1] < keys[i]``) and
+takes the first case that applies:
+
+1. strictly increasing keys — collision-free and already grouped:
+   :meth:`SegmentedBatch.distinct`, no probe, no sort;
+2. non-decreasing keys — the identity permutation is the grouping;
+3. a :class:`DuplicateProbe` (when given) that proves the batch
+   collision-free — an O(n) scatter/gather, then ``distinct``;
+4. fewer than ``n / NEARLY_SORTED_DIVISOR`` descents — a stable
+   argsort, which timsort finishes in near-linear time on such input;
+5. otherwise one ``np.sort`` of ``(key << shift) | position`` with
+   ``shift = bit_length(n - 1)``: the packed values are unique, so
+   their order *is* the stable permutation, and both ``order`` and
+   ``sorted_keys`` unpack from it.  Keys that do not fit the packing
+   (negative, or ``>= 2**(63 - shift)``) fall back to the stable
+   argsort.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
+
+#: A batch with fewer than ``n / NEARLY_SORTED_DIVISOR`` descents is
+#: grouped by the stable argsort: timsort merges its few long runs in
+#: near-linear time, faster than the packed sort's full ``np.sort``.
+NEARLY_SORTED_DIVISOR = 64
+
+
+def run_labels(starts: np.ndarray) -> np.ndarray:
+    """0-based label of the run each position is in; runs open at the
+    True entries of ``starts`` (whose first entry must be True)."""
+    # In place over an int64 copy: a cumsum straight off the bool mask
+    # casts through a buffer and is several times slower.
+    labels = starts.astype(np.int64)
+    np.cumsum(labels, out=labels)
+    labels -= 1
+    return labels
+
+
+def _descents(keys: np.ndarray) -> int:
+    """Number of adjacent pairs with ``keys[i + 1] < keys[i]``."""
+    if keys.size < 2:
+        return 0
+    return int(np.count_nonzero(keys[1:] < keys[:-1]))
+
+
+def _strictly_increasing(keys: np.ndarray) -> bool:
+    """Whether a batch with no descents also has no equal neighbours."""
+    return keys.size < 2 or not np.any(keys[1:] == keys[:-1])
+
+
+def _stable_grouping(
+    keys: np.ndarray, descents: int
+) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """``(order, keys[order])`` for the stable key-major grouping.
+
+    ``order`` is ``None`` for the identity permutation (no descents).
+    """
+    n = keys.size
+    if not descents:
+        return None, keys
+    shift = (n - 1).bit_length()
+    if descents * NEARLY_SORTED_DIVISOR >= n and keys.dtype.kind in "iu":
+        if int(keys.min()) >= 0 and int(keys.max()) < 1 << (63 - shift):
+            packed = keys.astype(np.int64)
+            packed <<= shift
+            packed |= np.arange(n, dtype=np.int64)
+            packed.sort()
+            order = packed & ((1 << shift) - 1)
+            packed >>= shift
+            return order, packed.astype(keys.dtype, copy=False)
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
 
 
 class SegmentedBatch:
@@ -56,12 +124,17 @@ class SegmentedBatch:
     )
 
     def __init__(self, keys: np.ndarray) -> None:
+        self._group(keys, *_stable_grouping(keys, _descents(keys)))
+
+    def _group(
+        self, keys: np.ndarray, order: Optional[np.ndarray], sorted_keys: np.ndarray
+    ) -> None:
         n = keys.size
         self.keys = keys
-        self.order = np.argsort(keys, kind="stable")
-        self.sorted_keys = keys[self.order]
+        self.order = np.arange(n, dtype=np.int64) if order is None else order
+        self.sorted_keys = sorted_keys
         if n:
-            boundary = self.sorted_keys[1:] != self.sorted_keys[:-1]
+            boundary = sorted_keys[1:] != sorted_keys[:-1]
             self.first = np.concatenate(([True], boundary))
             self.last = np.concatenate((boundary, [True]))
         else:
@@ -98,6 +171,20 @@ class SegmentedBatch:
     # -- derived views (computed on first use) -----------------------------
 
     @property
+    def in_batch_order(self) -> bool:
+        """Whether the grouping is the identity permutation.
+
+        Identity groupings (sorted, non-decreasing and distinct batches)
+        share their key array with ``sorted_keys``.
+        """
+        return self.sorted_keys is self.keys
+
+    def grouped(self, values: np.ndarray) -> np.ndarray:
+        """``values[order]``: per-request values in grouped order (the
+        array itself, uncopied, when the grouping is the identity)."""
+        return values if self.in_batch_order else values[self.order]
+
+    @property
     def num_segments(self) -> int:
         """Number of distinct keys in the batch."""
         return int(self.first_pos.size)
@@ -111,7 +198,7 @@ class SegmentedBatch:
     def segment_id(self) -> np.ndarray:
         """Segment index of each sorted position (0..num_segments-1)."""
         if self._segment_id is None:
-            self._segment_id = np.cumsum(self.first) - 1
+            self._segment_id = run_labels(self.first)
         return self._segment_id
 
     @property
@@ -127,20 +214,52 @@ class SegmentedBatch:
                 )
         return self._rank
 
-    # -- segmented scans ---------------------------------------------------
+    def select(self, positions: np.ndarray) -> "SegmentedBatch":
+        """The sub-batch at ascending sorted ``positions``, still grouped.
 
-    def exclusive_count(self, mask: np.ndarray) -> np.ndarray:
-        """Per sorted position: how many True entries precede it *within
-        its segment* (strictly before, i.e. an exclusive segmented scan).
+        Its batch order is this batch's grouped order, so it takes no
+        probe and no sort: a subset of a grouping is already grouped.
         """
-        before = np.cumsum(mask) - mask
-        return before - before[self.first_pos[self.segment_id]]
+        keys = self.sorted_keys[positions]
+        sub = SegmentedBatch.__new__(SegmentedBatch)
+        sub._group(keys, None, keys)
+        return sub
+
+    # -- segmented queries -------------------------------------------------
+
+    def _first_true(self, mask: np.ndarray) -> np.ndarray:
+        """Sorted positions of each segment's first True entry."""
+        hits = np.flatnonzero(mask)
+        if hits.size < 2:
+            return hits
+        owner = self.segment_id[hits]
+        lead = np.empty(hits.size, dtype=bool)
+        lead[0] = True
+        np.not_equal(owner[1:], owner[:-1], out=lead[1:])
+        # Index by position: a boolean-mask gather branches per element
+        # and is several times slower on masks near half full.
+        return hits[np.flatnonzero(lead)]
+
+    def first_mask(self, mask: np.ndarray) -> np.ndarray:
+        """True exactly at each segment's first True entry of ``mask``."""
+        out = np.zeros(mask.size, dtype=bool)
+        out[self._first_true(mask)] = True
+        return out
+
+    def none_before(self, mask: np.ndarray) -> np.ndarray:
+        """Per sorted position: no True entry of ``mask`` strictly before
+        it *within its segment*."""
+        n = mask.size
+        firsts = self._first_true(mask)
+        segment_id = self.segment_id
+        cutoff = np.full(self.num_segments, n, dtype=np.int64)
+        cutoff[segment_id[firsts]] = firsts
+        return np.arange(n, dtype=np.int64) <= cutoff[segment_id]
 
     def segment_total(self, mask: np.ndarray) -> np.ndarray:
         """Per-segment count of True entries (aligned with ``leaders``)."""
-        if not mask.size:
-            return np.zeros(0, dtype=np.int64)
-        return np.add.reduceat(mask.astype(np.int64), self.first_pos)
+        owners = self.segment_id[np.flatnonzero(mask)]
+        return np.bincount(owners, minlength=self.num_segments)
 
     # -- round decomposition (for models without a closed form) ------------
 
@@ -149,9 +268,10 @@ class SegmentedBatch:
 
         Round ``r`` holds the positions whose occurrence rank is ``r``,
         in ascending original order — exactly the rounds the legacy
-        per-round ``np.unique`` loop produced, but from one sort.
-        Models whose same-set recurrence has no closed form (LRU ways,
-        sector valid bitmaps) iterate these instead of re-sorting the
+        per-round ``np.unique`` loop produced, but with no sort beyond
+        the grouping: round ``r`` is ``first_pos + r`` over the segments
+        longer than ``r``.  Models whose same-set recurrence has no
+        closed form (LRU ways) iterate these instead of re-sorting the
         remainder every round.
         """
         n = self.keys.size
@@ -160,13 +280,16 @@ class SegmentedBatch:
         if self.collision_free:
             yield np.arange(n, dtype=np.int64)
             return
-        counts = np.bincount(self.rank)
-        grouped = self.order[np.argsort(self.rank, kind="stable")]
-        start = 0
-        for count in counts.tolist():
-            chunk = grouped[start : start + count]
-            start += count
-            yield np.sort(chunk)
+        starts = self.first_pos
+        lengths = np.diff(starts, append=n)
+        in_batch_order = self.in_batch_order
+        r = 0
+        while starts.size:
+            index = starts + r
+            yield index if in_batch_order else np.sort(self.order[index])
+            r += 1
+            longer = lengths > r
+            starts, lengths = starts[longer], lengths[longer]
 
 
 class DuplicateProbe:
@@ -223,10 +346,17 @@ class DuplicateProbe:
 def segment(keys: np.ndarray, probe: Optional[DuplicateProbe] = None) -> SegmentedBatch:
     """Group a batch of integer keys into a :class:`SegmentedBatch`.
 
-    With a ``probe``, a batch proven collision-free skips the argsort and
-    comes back as the sort-free identity grouping
-    (:meth:`SegmentedBatch.distinct`).
+    Sorts only when it must (see the module docstring for the ladder):
+    strictly increasing keys, and with a ``probe`` any batch it proves
+    collision-free, come back as the sort-free identity grouping
+    (:meth:`SegmentedBatch.distinct`); non-decreasing keys group by the
+    identity permutation.
     """
-    if probe is not None and probe.collision_free(keys):
+    descents = _descents(keys)
+    if not descents and _strictly_increasing(keys):
         return SegmentedBatch.distinct(keys)
-    return SegmentedBatch(keys)
+    if descents and probe is not None and probe.collision_free(keys):
+        return SegmentedBatch.distinct(keys)
+    seg = SegmentedBatch.__new__(SegmentedBatch)
+    seg._group(keys, *_stable_grouping(keys, descents))
+    return seg

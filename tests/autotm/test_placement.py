@@ -12,6 +12,7 @@ from repro.config import default_platform
 from repro.errors import ConfigurationError, SolverError
 from repro.nn import build_training_graph
 from repro.nn.ops import GraphBuilder
+from repro.units import MiB
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,7 @@ class TestProblemConstruction:
 
     def test_small_tensors_pinned(self, platform):
         generous = build_problem(platform, 1.0, min_candidate_bytes=1)
-        filtered = build_problem(platform, 1.0, min_candidate_bytes=1 << 20)
+        filtered = build_problem(platform, 1.0, min_candidate_bytes=MiB)
         assert len(filtered.candidates) < len(generous.candidates)
         assert filtered.pinned_bytes > generous.pinned_bytes
 

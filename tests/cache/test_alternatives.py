@@ -5,6 +5,7 @@ import pytest
 
 from repro.cache import DirectMappedCache, SetAssociativeCache
 from repro.errors import ConfigurationError
+from repro.units import CACHE_LINE
 
 
 @pytest.fixture
@@ -25,6 +26,17 @@ class TestConstruction:
     def test_rejects_zero_ways(self):
         with pytest.raises(ConfigurationError):
             SetAssociativeCache(256 * 64, ways=0)
+
+    @pytest.mark.parametrize(
+        "capacity", [0, -512, CACHE_LINE * 4 - 64], ids=["zero", "negative", "under-one-set"]
+    )
+    def test_rejects_capacity_below_one_set(self, capacity):
+        with pytest.raises(ConfigurationError, match="at least one 4-way set"):
+            SetAssociativeCache(capacity, ways=4)
+
+    def test_rejects_non_positive_line_size(self):
+        with pytest.raises(ConfigurationError):
+            SetAssociativeCache(256 * 64, line_size=0, ways=4)
 
 
 class TestAssociativity:

@@ -2,8 +2,9 @@
 
 Drives every production cache model — direct-mapped, sector,
 set-associative, and the three research variants — through thousands of
-randomized batches (uniform, high-collision, and adversarial
-all-same-set) and asserts per-batch traffic and tag counters plus final
+randomized batches (uniform, high-collision, adversarial all-same-set,
+hot-key runs of one line per set, and ascending sweeps that wrap the
+cache) and asserts per-batch traffic and tag counters plus final
 cache state match a deliberately naive one-access-at-a-time scalar
 reference exactly.  The direct-mapped, sector, and set-associative
 models are additionally checked against the legacy per-round engines in
@@ -40,7 +41,7 @@ from repro.perf.counters import TagStats, Traffic
 
 NUM_SETS = 8
 LINE_SPAN = NUM_SETS * 6  # six aliases per set
-BATCHES_PER_CASE = 660
+BATCHES_PER_SCENARIO = 220
 MAX_BATCH = 14
 
 CONFIGS = [
@@ -64,10 +65,28 @@ def draw_batch(rng, scenario, span=LINE_SPAN, num_sets=NUM_SETS):
         # One set, random alias per request: the adversarial worst case.
         alias = rng.integers(0, aliases, size=n)
         return (3 % num_sets + alias * num_sets).astype(np.int64)
+    if scenario == "hot_runs":
+        # A few hot sets, interleaved, each receiving runs of one line:
+        # most occurrences repeat the set's previous line (hot-key traffic).
+        hot_sets = rng.choice(num_sets, size=int(rng.integers(1, 4)), replace=False)
+        current = {}
+        lines = []
+        for s in rng.choice(hot_sets, size=n).tolist():
+            if s not in current or rng.random() < 0.3:
+                current[s] = s + int(rng.integers(0, aliases)) * num_sets
+            lines.append(current[s])
+        return np.array(lines, dtype=np.int64)
+    if scenario == "sweep":
+        # Ascending lines that wrap the cache, each touched one to three
+        # times in a row (CNN tensor and log-append streams).
+        start = int(rng.integers(0, span))
+        distinct = start + np.arange(n)
+        lines = np.repeat(distinct, rng.integers(1, 4, size=n))[:n]
+        return (lines % span).astype(np.int64)
     raise AssertionError(scenario)
 
 
-SCENARIOS = ["uniform", "high_collision", "all_same_set"]
+SCENARIOS = ["uniform", "high_collision", "all_same_set", "hot_runs", "sweep"]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +107,7 @@ def test_direct_mapped_matches_reference(ddo, insert):
         reference = ReferenceCache(
             NUM_SETS, ddo_enabled=ddo, insert_on_write_miss=insert
         )
-        for step in range(BATCHES_PER_CASE // len(SCENARIOS)):
+        for step in range(BATCHES_PER_SCENARIO):
             lines = draw_batch(rng, scenario)
             if rng.random() < 0.5:
                 vt, vg = vectorized.llc_read(lines)
