@@ -210,7 +210,7 @@ def execute_autotm(
             tele.counter(
                 "repro_autotm_moved_bytes_total", "bytes moved by AutoTM stash/restore"
             ).inc(epoch.traffic.demand_bytes)
-        result.records.append(
+        result.add(
             KernelRecord(
                 op=Op(name=label, kind=OpKind.MOVE),
                 start=start,
@@ -252,7 +252,7 @@ def execute_autotm(
             record = execute_op(
                 op, partial(addresser.lines, op_index=index), backend, _CTX, cpu, sample_stride
             )
-        result.records.append(record)
+        result.add(record)
 
         for tensor in stashes:  # write out to NVRAM
             result.stash_bytes += tensor.size_bytes

@@ -29,7 +29,9 @@ engine's per-request miss mask, the bypass policy has its own segmented
 closed form (:func:`repro.cache.engine.bypass_read_batch`), and the
 prefetcher runs the demand pass then installs its candidates with
 :func:`repro.cache.engine.prefetch_fill_batch`.  Random draws (predictor
-correctness, insertion coins) are made once per batch in request order.
+correctness, insertion coins) are one per request, in request order, so
+the seeded variants give the same result however a stream is split into
+batches; only the prefetcher depends on batch boundaries.
 """
 
 from __future__ import annotations
@@ -157,6 +159,12 @@ class NextLinePrefetchCache(DirectMappedCache):
     demand pass followed by a prefetch pass: candidates (successors of
     the demand misses) install in request order, later candidates
     winning, each skipped when it already matches the set's occupant.
+
+    This makes the model *batch-dependent*, unlike every other model
+    here: a prefetch lands only after the whole batch's demand pass, so
+    splitting or merging batches changes which demands hit a prefetched
+    line (``tests/cache/test_batch_split.py`` pins this).  Its results
+    therefore depend on how the workload batches its requests.
     """
 
     def _apply_read(

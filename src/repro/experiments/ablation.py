@@ -33,28 +33,36 @@ from repro.experiments.platform import CNN_STRIDE, cnn_platform_for, training_se
 from repro.perf.report import render_table
 from repro.units import CACHE_LINE, GB
 
-#: Variant name -> (cache factory, sample stride).  Stride sampling is
-#: exact for designs whose behaviour depends only on set mapping, but a
-#: sampled stream never demands the neighbours a *spatial* design
-#: prefetches — those variants run unsampled (stride 1).  The baseline
-#: is the 2LM configuration of ``autotm_common.run_2lm``, so it is run
-#: through that memo rather than simulated a second time.
+#: Lines per sector of the sector-cache variant (2 KiB sectors).
+SECTOR_LINES = 32
+
+#: Variant name -> (cache factory, sample stride, sample granule).  One
+#: sampling rule (:mod:`repro.nn.executor`) covers every design: keep
+#: the granules whose index is ≡ 0 (mod stride), the granule being the
+#: cache's mapping unit — a line for the line-mapped designs, a sector
+#: for the sector cache — so each sampled set sees exactly its
+#: unsampled stream.  Next-line prefetch is the one unsampled variant:
+#: its fill of line+1 crosses granules and would leak out of the
+#: sample.  The baseline is the 2LM configuration of
+#: ``autotm_common.run_2lm``, so it is run through that memo rather
+#: than simulated a second time.
 BASELINE = "baseline (direct-mapped, DDO, insert-on-miss)"
 VARIANTS: Dict[str, tuple] = {
-    BASELINE: (lambda cap: DirectMappedCache(cap), CNN_STRIDE),
-    "no DDO": (lambda cap: DirectMappedCache(cap, ddo_enabled=False), 16),
+    BASELINE: (lambda cap: DirectMappedCache(cap), CNN_STRIDE, 1),
+    "no DDO": (lambda cap: DirectMappedCache(cap, ddo_enabled=False), 16, 1),
     "write-around (no insert on write miss)": (
-        lambda cap: DirectMappedCache(cap, insert_on_write_miss=False), 16),
-    "8-way LRU": (lambda cap: SetAssociativeCache(cap, ways=8), 16),
+        lambda cap: DirectMappedCache(cap, insert_on_write_miss=False), 16, 1),
+    "8-way LRU": (lambda cap: SetAssociativeCache(cap, ways=8), 16, 1),
     # Research proposals from the DRAM-cache literature (Section II).
     "miss predictor (MissMap-style, 95%)": (
-        lambda cap: MissPredictorCache(cap, accuracy=0.95), 16),
+        lambda cap: MissPredictorCache(cap, accuracy=0.95), 16, 1),
     "bandwidth-aware bypass (BEAR-style, 10% insert)": (
-        lambda cap: BypassCache(cap, insert_probability=0.1), 16),
+        lambda cap: BypassCache(cap, insert_probability=0.1), 16, 1),
     "next-line prefetch in the miss handler": (
-        lambda cap: NextLinePrefetchCache(cap), 1),
+        lambda cap: NextLinePrefetchCache(cap), 1, 1),
     "sector cache (2 KiB sectors, footprint 4)": (
-        lambda cap: SectorCache(cap, sector_lines=32, footprint=4), 1),
+        lambda cap: SectorCache(cap, sector_lines=SECTOR_LINES, footprint=4),
+        16, SECTOR_LINES),
 }
 
 
@@ -67,8 +75,8 @@ def run_variant(variant: str, quick: bool) -> Dict[str, float]:
         execution = run_2lm("densenet264", quick)
     else:
         _, plan = training_setup("densenet264", quick=quick)
-        factory, stride = VARIANTS[variant]
-        execution = measure_2lm(plan, platform, factory, stride)
+        factory, stride, granule = VARIANTS[variant]
+        execution = measure_2lm(plan, platform, factory, stride, granule)
     traffic, tags = execution.traffic, execution.tags
     return {
         "seconds": execution.seconds,

@@ -32,11 +32,17 @@ def measure_2lm(
     platform: PlatformConfig,
     make_cache: Callable[[int], CacheModel] = DirectMappedCache,
     stride: int = CNN_STRIDE,
+    granule: int = 1,
 ) -> ExecutionResult:
-    """One measured 2LM training iteration, after one warm-up on the same cache."""
+    """One measured 2LM training iteration, after one warm-up on the same cache.
+
+    ``stride`` and ``granule`` are the executor's sampling rule (see
+    :mod:`repro.nn.executor`): granule 1 samples lines, a sector cache
+    samples by its sector.
+    """
     backend = CachedBackend(platform, make_cache(platform.socket.dram_capacity))
-    execute_iteration(plan, backend, sample_stride=stride)  # warm-up
-    return execute_iteration(plan, backend, sample_stride=stride)
+    execute_iteration(plan, backend, sample_stride=stride, granule=granule)  # warm-up
+    return execute_iteration(plan, backend, sample_stride=stride, granule=granule)
 
 
 def place_autotm(training: TrainingGraph, platform: PlatformConfig, quick: bool) -> AutoTMResult:

@@ -8,6 +8,7 @@ from repro.config import default_platform
 from repro.errors import ConfigurationError
 from repro.nn import build_training_graph
 from repro.nn.ops import GraphBuilder
+from repro.perf.counters import TagStats, Traffic
 from repro.units import GB
 
 
@@ -97,3 +98,18 @@ class TestAsyncExecution:
             execute_autotm_async(
                 training, plan, platform, engine=DMAEngineConfig(bandwidth=bandwidth)
             )
+
+
+class TestRunningTotals:
+    def test_totals_equal_resummed_records(self, platform, setup):
+        training, plan = setup
+        sync = execute_autotm(training, plan, platform, sample_stride=16)
+        asynchronous = execute_autotm_async(training, plan, platform, sample_stride=16)
+        for result, extra_traffic, extra_seconds in (
+            (sync, Traffic(), 0.0),
+            (asynchronous, asynchronous.move_traffic, asynchronous.stall_seconds),
+        ):
+            records = result.records
+            assert result.traffic == sum((r.traffic for r in records), extra_traffic)
+            assert result.tags == sum((r.tags for r in records), TagStats())
+            assert result.seconds == sum(r.seconds for r in records) + extra_seconds

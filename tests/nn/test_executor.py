@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cache import DirectMappedCache
+from repro.cache import DirectMappedCache, SectorCache
 from repro.config import default_platform
 from repro.errors import ConfigurationError
 from repro.memsys import CachedBackend
@@ -118,6 +118,85 @@ class TestStrideSampling:
         backend = CachedBackend(platform, cache)
         with pytest.raises(ConfigurationError):
             execute_iteration(plan, backend, sample_stride=32)
+
+
+class TestGranuleSampling:
+    """One sampling rule: keep granules whose index is ≡ 0 (mod stride)."""
+
+    def test_granule_one_is_line_sampling(self, platform):
+        _, plan = small_training_setup()
+        for stride in (1, 16):
+            addresser = TensorAddresser(plan, stride, 64, granule=1)
+            for tensor in plan.graph.tensors:
+                first = plan.offset_of(tensor) // 64
+                expected = first + np.arange(
+                    0, -(-tensor.size_bytes // 64), stride, dtype=np.int64
+                )
+                assert np.array_equal(addresser.lines(tensor), expected)
+
+    def test_granule_keeps_whole_granules_by_global_index(self, platform):
+        _, plan = small_training_setup()
+        addresser = TensorAddresser(plan, 4, 64, granule=8)
+        for tensor in plan.graph.activations:
+            first = plan.offset_of(tensor) // 64
+            every = np.arange(first, first + -(-tensor.size_bytes // 64))
+            kept = every[(every // 8) % 4 == 0]
+            assert np.array_equal(addresser.lines(tensor), kept)
+
+    def test_sector_cache_sampled_close_to_exact(self, platform):
+        """Small network, 32-set sector cache well under its heap: the
+        sector-sampled run tracks the unsampled one."""
+        _, plan = small_training_setup()
+
+        def measure(stride, granule):
+            cache = SectorCache(32 * 32 * 64, sector_lines=32, footprint=4)
+            backend = CachedBackend(platform, cache)
+            execute_iteration(plan, backend, sample_stride=stride, granule=granule)
+            return execute_iteration(
+                plan, backend, sample_stride=stride, granule=granule
+            )
+
+        exact, sampled = measure(1, 1), measure(16, 32)
+        t_exact, t_sampled = exact.traffic, sampled.traffic
+        assert t_sampled.amplification == pytest.approx(t_exact.amplification, rel=0.05)
+        assert sampled.tags.hit_rate == pytest.approx(exact.tags.hit_rate, abs=0.02)
+        assert t_sampled.nvram_reads + t_sampled.nvram_writes == pytest.approx(
+            t_exact.nvram_reads + t_exact.nvram_writes, rel=0.05
+        )
+
+    def test_rejects_granule_below_one(self, platform):
+        _, plan = small_training_setup()
+        with pytest.raises(ConfigurationError):
+            TensorAddresser(plan, 16, 64, granule=0)
+        backend = CachedBackend(platform, DirectMappedCache(platform.socket.dram_capacity))
+        with pytest.raises(ConfigurationError):
+            execute_iteration(plan, backend, sample_stride=16, granule=0)
+
+    def test_rejects_set_count_not_multiple_of_stride(self, platform):
+        _, plan = small_training_setup()
+        cache = SectorCache(24 * 32 * 64, sector_lines=32, footprint=4)  # 24 sets
+        backend = CachedBackend(platform, cache)
+        with pytest.raises(ConfigurationError):
+            execute_iteration(plan, backend, sample_stride=16, granule=32)
+
+
+def assert_totals_match_records(result):
+    """Running totals equal the records re-summed in order."""
+    assert result.traffic == sum((r.traffic for r in result.records), Traffic())
+    assert result.tags == sum((r.tags for r in result.records), TagStats())
+    assert result.seconds == sum(r.seconds for r in result.records)
+
+
+class TestRunningTotals:
+    def test_totals_equal_resummed_records(self, platform):
+        result, _, _ = run_once(platform)
+        assert_totals_match_records(result)
+
+    def test_totals_are_copies(self, platform):
+        result, _, _ = run_once(platform)
+        traffic = result.traffic
+        traffic += result.traffic
+        assert result.traffic != traffic
 
 
 class TestComputeTime:

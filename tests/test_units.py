@@ -29,7 +29,8 @@ def test_bandwidth_round_trip():
 
 
 def test_gb_per_s_is_decimal():
-    assert gb_per_s(1.0) == 1e9
+    # The decimal literal is the expected value under test, not a scale.
+    assert gb_per_s(1.0) == 1e9  # repro-lint: disable=UNIT001
 
 
 @pytest.mark.parametrize(
